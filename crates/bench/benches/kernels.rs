@@ -32,7 +32,15 @@
 //! * `trace_overhead` — the tracing subsystem's zero-cost contract: the
 //!   `NoopTracer` path must stay within 5% of the plain `run` on the
 //!   emission-dense round-robin block row, with a recording-tracer cost
-//!   line for reference.
+//!   line for reference;
+//! * `coin_fill` — PRF membership over one period of the n = 1024,
+//!   k = 1023 wait-and-go schedule, one position at a time
+//!   (`DoublingSchedule::transmits`) vs one 64-position word at a time
+//!   (`DoublingSchedule::fill_word`), with equal hit counts asserted.
+//!
+//! Set `BENCH_KERNELS_JSON=<path>` to record the `bitslab_burst` and
+//! `coin_fill` summaries there (one line per group; other groups' lines in
+//! the file are kept).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mac_sim::prelude::*;
@@ -55,6 +63,31 @@ fn time_runs<F: FnMut() -> Outcome>(mut f: F) -> (f64, Outcome) {
         black_box(f());
     }
     (t0.elapsed().as_secs_f64() / f64::from(iters), out)
+}
+
+/// Record one bench group's summary in the `BENCH_KERNELS_JSON` artifact,
+/// if that variable is set: a JSON array holding one line per group. The
+/// group's previous line is replaced; the other groups' lines are kept.
+fn write_kernels_json(bench: &str, unit: &str, rows: &[String]) {
+    let Ok(path) = std::env::var("BENCH_KERNELS_JSON") else {
+        return;
+    };
+    let tag = format!("{{\"bench\": \"kernels/{bench}\"");
+    let old = std::fs::read_to_string(&path).unwrap_or_default();
+    let mut lines: Vec<String> = old
+        .lines()
+        .map(|l| l.trim_end_matches(','))
+        .filter(|l| l.starts_with("{\"bench\": ") && !l.starts_with(&tag))
+        .map(String::from)
+        .collect();
+    lines.push(format!(
+        "{tag}, \"unit\": \"{unit}\", \"rows\": [{}]}}",
+        rows.join(", ")
+    ));
+    lines.sort();
+    std::fs::write(&path, format!("[\n{}\n]\n", lines.join(",\n")))
+        .expect("write BENCH_KERNELS_JSON");
+    println!("{bench}: wrote {path}");
 }
 
 /// Timing assertions are skipped in `BENCH_QUICK` smoke mode (single
@@ -581,23 +614,82 @@ fn bitslab_burst(_c: &mut Criterion) {
         auto_ratio,
     ));
 
-    // The per-PR perf artifact (BENCH_kernels.json, committed at the repo
-    // root): one row per guard above, microseconds per run.
-    if let Ok(path) = std::env::var("BENCH_KERNELS_JSON") {
-        let mut json = String::from(
-            "{\n  \"bench\": \"kernels/bitslab_burst\",\n  \"unit\": \"us_per_run\",\n  \"rows\": [\n",
-        );
-        for (i, (name, scalar_us, slab_us, ratio)) in rows.iter().enumerate() {
-            let sep = if i + 1 == rows.len() { "" } else { "," };
-            json.push_str(&format!(
-                "    {{\"row\": \"{name}\", \"scalar_dense_us\": {scalar_us:.2}, \
-                 \"kernel_us\": {slab_us:.2}, \"speedup\": {ratio:.2}}}{sep}\n"
-            ));
+    // The perf artifact (BENCH_kernels.json, committed at the repo root):
+    // one row per guard above, microseconds per run.
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|(name, scalar_us, slab_us, ratio)| {
+            format!(
+                "{{\"row\": \"{name}\", \"scalar_dense_us\": {scalar_us:.2}, \
+                 \"kernel_us\": {slab_us:.2}, \"speedup\": {ratio:.2}}}"
+            )
+        })
+        .collect();
+    write_kernels_json("bitslab_burst", "us_per_run", &rows);
+}
+
+fn coin_fill(_c: &mut Criterion) {
+    // The selective schedules' coin kernel: every coin of one period of
+    // the n = 1024, k = 1023 wait-and-go schedule for every 16th station,
+    // asked position by position and 64 positions per word. Both must
+    // count the same hits.
+    let n = 1024u32;
+    let wag = WaitAndGo::new(n, 1023, FamilyProvider::random_with_seed(1));
+    let sched = wag.schedule();
+    let period = sched.period();
+    let stations: Vec<u32> = (0..n).step_by(16).collect();
+    let per_position = || -> u64 {
+        stations
+            .iter()
+            .map(|&u| (0..period).filter(|&p| sched.transmits(u, p)).count() as u64)
+            .sum()
+    };
+    let per_word = || -> u64 {
+        stations
+            .iter()
+            .map(|&u| {
+                (0..period)
+                    .step_by(64)
+                    .map(|p| {
+                        let width = (period - p).min(64) as u32;
+                        u64::from(sched.fill_word(u, p, width).count_ones())
+                    })
+                    .sum::<u64>()
+            })
+            .sum()
+    };
+    let iters: u32 = if std::env::var_os("BENCH_QUICK").is_some() {
+        1
+    } else {
+        20
+    };
+    let time = |f: &dyn Fn() -> u64| {
+        let hits = f(); // warmup
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            assert_eq!(black_box(f()), hits);
         }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write BENCH_KERNELS_JSON");
-        println!("bitslab_burst: wrote {path}");
-    }
+        (t0.elapsed().as_secs_f64() / f64::from(iters), hits)
+    };
+    let (t_position, hits_position) = time(&per_position);
+    let (t_word, hits_word) = time(&per_word);
+    assert_eq!(hits_position, hits_word, "fill_word and transmits disagree");
+    assert!(hits_word > 0, "no station transmits in a whole period");
+    let coins = stations.len() as f64 * period as f64;
+    let (ns_position, ns_word) = (t_position * 1e9 / coins, t_word * 1e9 / coins);
+    let ratio = ns_position / ns_word.max(1e-12);
+    println!(
+        "coin_fill/wag_n1024_k1023  transmits {ns_position:.2}ns fill_word {ns_word:.2}ns per coin  \
+         ratio {ratio:.1}x ({hits_word} hits over {coins} coins)"
+    );
+    write_kernels_json(
+        "coin_fill",
+        "ns_per_coin",
+        &[format!(
+            "{{\"row\": \"wag_n1024_k1023\", \"transmits_ns\": {ns_position:.2}, \
+             \"fill_word_ns\": {ns_word:.2}, \"speedup\": {ratio:.2}}}"
+        )],
+    );
 }
 
 fn construction_cache(c: &mut Criterion) {
@@ -865,6 +957,7 @@ criterion_group!(
     mega_station,
     trace_overhead,
     adversary_kernels,
-    verification_kernels
+    verification_kernels,
+    coin_fill
 );
 criterion_main!(benches);

@@ -17,7 +17,7 @@
 //! algebra.
 
 use selectors::kautz_singleton::KautzSingleton;
-use selectors::random::{OracleFamily, RandomFamilyBuilder};
+use selectors::random::{OracleFamily, OracleSet, RandomFamilyBuilder};
 use selectors::schedule::Schedule;
 
 /// A strategy for realizing `(n,k)`-selective families.
@@ -141,11 +141,60 @@ impl DynFamily {
         }
     }
 
+    /// Station `u`'s membership in sets `j0 … j0 + width − 1` as one word
+    /// (`width ≤ 64`): bit `i` is [`member`](Self::member)`(u, j0 + i)`.
+    /// Oracle families hoist the seed and threshold out of the loop; the
+    /// Kautz–Singleton code answers bit by bit.
+    #[inline]
+    pub fn fill_word(&self, u: u32, j0: u64, width: u32) -> u64 {
+        match &self.inner {
+            DynFamilyInner::Oracle(o) => o.fill_word(u, j0 as usize, width),
+            DynFamilyInner::Ks(_) => (0..width)
+                .filter(|&i| self.member(u, j0 + u64::from(i)))
+                .fold(0u64, |w, i| w | 1 << i),
+        }
+    }
+
+    /// Transmission set `j` as a membership test; for oracle families the
+    /// set index is folded into the PRF state once, so a sweep over many
+    /// stations pays only the per-station rounds.
+    #[inline]
+    pub(crate) fn set(&self, j: u64) -> FamilySet<'_> {
+        match &self.inner {
+            _ if j >= self.len() => FamilySet::Empty,
+            DynFamilyInner::Oracle(o) => FamilySet::Oracle(o.set(j as usize)),
+            DynFamilyInner::Ks(ks) => FamilySet::Ks(ks, j as usize),
+        }
+    }
+
     /// Materialize into an explicit family for verification.
     pub fn materialize(&self) -> selectors::SelectiveFamily {
         match &self.inner {
             DynFamilyInner::Oracle(o) => o.materialize(),
             DynFamilyInner::Ks(ks) => ks.materialize(),
+        }
+    }
+}
+
+/// One transmission set of a [`DynFamily`] ([`DynFamily::set`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum FamilySet<'a> {
+    /// An oracle set with its PRF row prefix folded.
+    Oracle(OracleSet),
+    /// Set `j` of a Kautz–Singleton code.
+    Ks(&'a KautzSingleton, usize),
+    /// A position past the family's end.
+    Empty,
+}
+
+impl FamilySet<'_> {
+    /// Does station `u` belong to the set?
+    #[inline]
+    pub(crate) fn contains(&self, u: u32) -> bool {
+        match self {
+            FamilySet::Oracle(set) => set.contains(u),
+            FamilySet::Ks(ks, j) => ks.transmits(u, *j),
+            FamilySet::Empty => false,
         }
     }
 }

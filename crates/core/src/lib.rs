@@ -59,6 +59,8 @@ pub mod certify;
 pub mod conflict_resolution;
 pub mod energy;
 pub mod family_provider;
+#[cfg(test)]
+mod fill_check;
 pub mod lower_bound;
 pub mod randomized;
 pub mod round_robin;

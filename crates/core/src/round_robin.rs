@@ -20,6 +20,20 @@ use mac_sim::{
     TxTally, TxWord,
 };
 
+/// Round-robin interleaved onto the even global slots (position `t / 2`):
+/// bit `j` is set iff slot `t = base + j` is even and `t / 2 ≡ id (mod n)`.
+/// The word half of the interleaved protocols' tile fills.
+pub(crate) fn round_robin_even_slots(n: u32, id: u32, base: Slot, width: u32) -> u64 {
+    let end = base + u64::from(width);
+    let mut t = 2 * selectors::math::next_congruent(base.div_ceil(2), u64::from(id), u64::from(n));
+    let mut bits = 0u64;
+    while t < end {
+        bits |= 1u64 << (t - base);
+        t += 2 * u64::from(n);
+    }
+    bits
+}
+
 /// The round-robin protocol over `n` stations.
 #[derive(Clone, Copy, Debug)]
 pub struct RoundRobin {

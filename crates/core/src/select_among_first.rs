@@ -19,7 +19,7 @@
 //! `k > n/c`). [`WakeupWithS`](crate::wakeup_with_s::WakeupWithS)
 //! interleaves it with round-robin to cover the large-`k` regime.
 
-use crate::family_provider::{DynFamily, FamilyProvider};
+use crate::family_provider::{DynFamily, FamilyProvider, FamilySet};
 use mac_sim::{
     Action, ClassStation, MemberRemoval, Members, Protocol, Slot, Station, StationId, TxHint,
     TxTally, TxWord, Until,
@@ -33,7 +33,10 @@ use std::sync::Arc;
 /// Internally this is the schedule algebra's cyclic concatenation
 /// `cycle(⟨F₁, …, F_top⟩)`, so position lookup (`transmits`) and sparse
 /// evaluation (`next_position`) reuse the `Schedule`/`NextOne` combinators
-/// rather than duplicating their arithmetic.
+/// rather than duplicating their arithmetic. Whole tiles of positions
+/// ([`fill_word`](Self::fill_word), and through it
+/// [`position_index`](Self::position_index)) locate the family once and
+/// walk it with the families' own word fills.
 #[derive(Debug)]
 pub struct DoublingSchedule {
     cycle: selectors::schedule::CycleSchedule<selectors::schedule::ConcatSchedule<DynFamily>>,
@@ -84,6 +87,67 @@ impl DoublingSchedule {
         self.cycle.inner().parts()
     }
 
+    /// The family holding position `p` (mod the period) and the position's
+    /// offset inside it.
+    fn locate(&self, p: u64) -> (usize, u64) {
+        // `p mod period` is always inside the concatenation.
+        self.cycle
+            .inner()
+            .locate(p % self.period())
+            .unwrap_or((0, 0))
+    }
+
+    /// The transmission set at position `p` (mod the period), located once
+    /// so that a sweep over many stations pays only the per-station coin.
+    pub(crate) fn set_at(&self, p: u64) -> FamilySet<'_> {
+        let (i, local) = self.locate(p);
+        self.families()[i].set(local)
+    }
+
+    /// Station `u`'s transmissions at positions `p … p + width − 1` as one
+    /// word (`width ≤ 64`): bit `i` is [`transmits`](Self::transmits)`(u,
+    /// p + i)`. The family holding `p` is located once; the walk then
+    /// crosses family boundaries and the period wrap in place.
+    pub fn fill_word(&self, u: u32, p: u64, width: u32) -> u64 {
+        debug_assert!(width <= 64);
+        let families = self.families();
+        let (mut i, mut local) = self.locate(p);
+        let mut bits = 0u64;
+        let mut done = 0u32;
+        while done < width {
+            let family = &families[i];
+            let take = (family.len() - local).min(u64::from(width - done)) as u32;
+            bits |= family.fill_word(u, local, take) << done;
+            done += take;
+            local = 0;
+            i = (i + 1) % families.len();
+        }
+        bits
+    }
+
+    /// [`fill_word`](Self::fill_word) for the schedule interleaved onto odd
+    /// global slots: bit `j` is set iff slot `t = base + j` is odd, `t ≥
+    /// first`, and `u` transmits at position `(t − origin) / 2`. `origin`
+    /// (the slot playing position 0) and `first ≥ origin` are odd.
+    pub(crate) fn fill_odd_slots(
+        &self,
+        u: u32,
+        origin: Slot,
+        first: Slot,
+        base: Slot,
+        width: u32,
+    ) -> u64 {
+        debug_assert!(origin % 2 == 1 && first % 2 == 1 && first >= origin);
+        let end = base + u64::from(width);
+        let t0 = (base | 1).max(first);
+        if t0 >= end {
+            return 0;
+        }
+        // At most 32 odd slots fit a 64-slot tile.
+        let count = (end - t0).div_ceil(2) as u32;
+        spread_even(self.fill_word(u, (t0 - origin) / 2, count)) << (t0 - base)
+    }
+
     /// Smallest position `p' ≥ p` that is a family boundary (mod period).
     pub fn next_boundary(&self, p: u64) -> u64 {
         let r = p % self.period();
@@ -100,8 +164,10 @@ impl DoublingSchedule {
     /// if `u` is in no transmission set of any family (then the cyclic
     /// schedule never selects it). Delegates to the schedule algebra's
     /// [`next_one`](selectors::Schedule::next_one), which covers at most one
-    /// full period; successive queries over a run scan disjoint stretches,
-    /// so the amortized cost matches one dense pass.
+    /// full period with an early-exit walk — no coin past the hit is
+    /// flipped, which beats word fills on the short gaps of small-`k`
+    /// families; successive queries over a run scan disjoint stretches, so
+    /// the amortized cost matches one dense pass.
     pub fn next_position(&self, u: u32, p: u64) -> Option<u64> {
         use selectors::{NextOne, Schedule};
         match self.cycle.next_one(u, p) {
@@ -113,14 +179,22 @@ impl DoublingSchedule {
     }
 
     /// Build station `u`'s [`PositionIndex`]: every position of one period at
-    /// which `u` transmits, collected in a single O(period) scan. Queries
-    /// against the index are then O(log) each (binary search + cyclic wrap),
-    /// instead of [`next_position`](Self::next_position)'s linear walk —
-    /// the win for runs that outlive one schedule period, such as the
+    /// which `u` transmits, collected in a single O(period) scan of
+    /// [`fill_word`](Self::fill_word) words. Queries against the index are
+    /// then O(log) each (binary search + cyclic wrap), instead of
+    /// [`next_position`](Self::next_position)'s linear walk — the win for
+    /// runs that outlive one schedule period, such as the
     /// conflict-resolution resolvers that are re-queried after every success.
     pub fn position_index(&self, u: u32) -> PositionIndex {
         let period = self.period();
-        let positions = (0..period).filter(|&p| self.transmits(u, p)).collect();
+        let mut positions = Vec::new();
+        for p in (0..period).step_by(64) {
+            let mut bits = self.fill_word(u, p, (period - p).min(64) as u32);
+            while bits != 0 {
+                positions.push(p + u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
         PositionIndex { positions, period }
     }
 
@@ -140,6 +214,17 @@ impl DoublingSchedule {
         // that landed.
         Arc::clone(map.entry(u).or_insert(built))
     }
+}
+
+/// Bits `0 … 31` of `w` spread onto the even bit positions (bit `i` → bit
+/// `2i`): the slot word of a component that owns every other slot.
+pub(crate) fn spread_even(w: u64) -> u64 {
+    let mut x = w & 0xFFFF_FFFF;
+    x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
+    x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
+    x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
+    (x | (x << 1)) & 0x5555_5555_5555_5555
 }
 
 /// The family-sequence height `⌈log n⌉` of the full doubling schedule the
@@ -307,11 +392,12 @@ impl AnyMemberScan {
             if tests >= budget && p > start {
                 return Scan::SilentBelow(p);
             }
+            let set = schedule.set_at(p);
             let mut any = false;
             'runs: for &(lo, hi) in members.runs() {
                 for u in lo..hi {
                     tests += 1;
-                    if schedule.transmits(u, p) {
+                    if set.contains(u) {
                         any = true;
                         break 'runs;
                     }
@@ -414,19 +500,17 @@ impl Station for SafStation {
 
     fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
         // The schedule is oblivious and participation is fixed at wake, so
-        // the whole tile is an unconditional fact: one position lookup per
-        // slot, instead of one linear `next_position` walk per event.
-        if !self.participates {
+        // the whole tile is an unconditional fact: one schedule word per
+        // tile, instead of one linear `next_position` walk per event.
+        let end = base + u64::from(width);
+        let t0 = base.max(self.s);
+        if !self.participates || t0 >= end {
             return Some(TxWord::forever(0));
         }
-        let mut bits = 0u64;
-        for j in 0..u64::from(width) {
-            let t = base + j;
-            if t >= self.s && self.schedule.transmits(self.id.0, t - self.s) {
-                bits |= 1u64 << j;
-            }
-        }
-        Some(TxWord::forever(bits))
+        let bits = self
+            .schedule
+            .fill_word(self.id.0, t0 - self.s, (end - t0) as u32);
+        Some(TxWord::forever(bits << (t0 - base)))
     }
 }
 
@@ -457,8 +541,8 @@ impl ClassStation for SafClass {
         if !self.participates || t < self.s {
             return;
         }
-        let (schedule, p) = (&self.schedule, t - self.s);
-        tally.record_members(&self.members, |u| schedule.transmits(u, p));
+        let set = self.schedule.set_at(t - self.s);
+        tally.record_members(&self.members, |u| set.contains(u));
     }
 
     fn next_transmission(&mut self, after: Slot) -> TxHint {
@@ -650,6 +734,74 @@ mod tests {
                         "n={n} top={top} u={u} p={p} (period {period})"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn fill_word_matches_transmits_across_boundaries_and_wrap() {
+        use crate::fill_check::random_bases;
+        for (provider, n, top) in [
+            (FamilyProvider::random_with_seed(5), 48u32, 3u32),
+            (FamilyProvider::random_with_seed(5), 16, 0),
+            (FamilyProvider::KautzSingleton, 20, 2),
+            (FamilyProvider::random_with_seed(2), 1024, 10),
+        ] {
+            let sched = DoublingSchedule::new(&provider, n, top);
+            let period = sched.period();
+            // Words starting at, just before and well before each family
+            // boundary, running over the period wrap, and at random.
+            let mut starts: Vec<u64> = sched
+                .offsets()
+                .iter()
+                .flat_map(|&o| [o, o.saturating_sub(1), o.saturating_sub(30)])
+                .collect();
+            starts.extend([period - 1, period.saturating_sub(64), 2 * period + 10]);
+            starts.extend(random_bases(u64::from(n), 20, 0, 4 * period));
+            for u in [0, n / 3, n - 1] {
+                for &p in &starts {
+                    for width in 0..=64u32 {
+                        let want = (0..width)
+                            .filter(|&i| sched.transmits(u, p + u64::from(i)))
+                            .fold(0u64, |w, i| w | 1 << i);
+                        assert_eq!(
+                            sched.fill_word(u, p, width),
+                            want,
+                            "n={n} top={top} u={u} p={p} width={width} (period {period})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spread_even_moves_bit_i_to_bit_2i() {
+        for w in [0u64, 1, 0xFFFF_FFFF, 0xDEAD_BEEF_1234_5678, u64::MAX] {
+            let spread = spread_even(w);
+            for i in 0..32 {
+                assert_eq!(spread >> (2 * i) & 1, w >> i & 1, "w={w:#x} bit {i}");
+                assert_eq!(spread >> (2 * i + 1) & 1, 0, "w={w:#x} odd bit {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_fill_matches_act() {
+        use crate::fill_check::{assert_fill_matches_act, random_bases};
+        for provider in [
+            FamilyProvider::random_with_seed(4),
+            FamilyProvider::KautzSingleton,
+        ] {
+            let (n, s) = (48u32, 20u64);
+            let p = SelectAmongFirst::new(n, s, provider);
+            let mut bases = vec![s, s + 1, s + p.schedule_period() - 2];
+            bases.extend(random_bases(1, 12, s, s + 3 * p.schedule_period()));
+            for id in [0, 17, n - 1] {
+                // A participant (woken at s) and a latecomer.
+                assert_fill_matches_act(&p, id, s, &bases);
+                let late: Vec<Slot> = bases.iter().map(|&b| b + 1).collect();
+                assert_fill_matches_act(&p, id, s + 1, &late);
             }
         }
     }

@@ -22,7 +22,7 @@
 
 use crate::family_provider::FamilyProvider;
 use crate::select_among_first::DoublingSchedule;
-use mac_sim::{Action, Protocol, Slot, Station, StationId, TxHint};
+use mac_sim::{Action, Protocol, Slot, Station, StationId, TxHint, TxWord};
 use selectors::math::log_n;
 use std::sync::Arc;
 
@@ -122,6 +122,18 @@ impl Station for WagStation {
             Some(p) => TxHint::at(p),
             None => TxHint::never(),
         }
+    }
+
+    fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
+        // Oblivious once `go_slot` is fixed at wake: the tile is the
+        // schedule word from the later of `base` and `go_slot`.
+        let end = base + u64::from(width);
+        let t0 = base.max(self.go_slot);
+        if t0 >= end {
+            return Some(TxWord::forever(0));
+        }
+        let bits = self.schedule.fill_word(self.id.0, t0, (end - t0) as u32);
+        Some(TxWord::forever(bits << (t0 - base)))
     }
 }
 
@@ -242,6 +254,38 @@ mod tests {
         let total: u64 = p.schedule().families().iter().map(|f| f.len()).sum();
         assert_eq!(p.period(), total);
         assert_eq!(p.schedule().families().len(), 3); // k=8 → families 2,4,8
+    }
+
+    #[test]
+    fn word_fill_matches_act() {
+        use crate::fill_check::{assert_fill_matches_act, random_bases};
+        for (provider, n, k) in [
+            (FamilyProvider::random_with_seed(3), 64u32, 40u32),
+            (FamilyProvider::random_with_seed(9), 1024, 1023),
+            (FamilyProvider::random_with_seed(1), 32, 1),
+            (FamilyProvider::KautzSingleton, 20, 4),
+        ] {
+            let p = WaitAndGo::new(n, k, provider);
+            let period = p.period();
+            for (i, sigma) in [0, 5, period + 3, 7 * period / 2].into_iter().enumerate() {
+                // Tiles ending just before, straddling and starting at the
+                // first family boundary the station may transmit from.
+                let go = p.schedule().next_boundary(sigma);
+                let mut bases: Vec<Slot> = [0, 1, 2, 40, 63, 64]
+                    .iter()
+                    .map(|&back| go.saturating_sub(back).max(sigma))
+                    .collect();
+                bases.extend([
+                    go + 1,
+                    sigma + period - 1,
+                    (go + period).saturating_sub(3).max(sigma),
+                ]);
+                bases.extend(random_bases(i as u64, 12, sigma, sigma + 3 * period));
+                for id in [0, n / 2, n - 1] {
+                    assert_fill_matches_act(&p, id, sigma, &bases);
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! the algorithm degrades instead of failing (pinned by a test below).
 
 use crate::family_provider::FamilyProvider;
+use crate::round_robin::round_robin_even_slots;
 use crate::select_among_first::{DoublingSchedule, NextPositionCache};
 use crate::wait_and_go::WaitAndGo;
-use mac_sim::{Action, Protocol, Slot, Station, StationId, TxHint};
+use mac_sim::{Action, Protocol, Slot, Station, StationId, TxHint, TxWord};
 use selectors::math::next_congruent;
 use std::sync::Arc;
 
@@ -113,6 +114,18 @@ impl Station for WwkStation {
             Some(wag) => TxHint::at(rr_slot.min(wag)),
             None => TxHint::at(rr_slot),
         }
+    }
+
+    fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
+        // Both components are oblivious once `go_position` is fixed at
+        // wake: round-robin turns on even slots, plus the gated
+        // wait-and-go word spread onto the odd slots (slot 2p + 1 plays
+        // position p).
+        let rr = round_robin_even_slots(self.n, self.id.0, base, width);
+        let wag = self
+            .schedule
+            .fill_odd_slots(self.id.0, 1, 2 * self.go_position + 1, base, width);
+        Some(TxWord::forever(rr | wag))
     }
 }
 
@@ -221,6 +234,40 @@ mod tests {
         let pattern = WakePattern::simultaneous(&all, 0).unwrap();
         let out = sim(n).run(&p, &pattern, 0).unwrap();
         assert!(out.solved());
+    }
+
+    #[test]
+    fn word_fill_matches_act() {
+        use crate::fill_check::{assert_fill_matches_act, random_bases};
+        for (provider, n, k) in [
+            (FamilyProvider::random_with_seed(3), 64u32, 40u32),
+            (FamilyProvider::random_with_seed(9), 1024, 1023),
+            (FamilyProvider::random_with_seed(1), 32, 1),
+            (FamilyProvider::KautzSingleton, 20, 4),
+        ] {
+            let p = WakeupWithK::new(n, k, provider);
+            // One wait-and-go period spans twice as many slots.
+            let span = 2 * p.period();
+            for (i, sigma) in [0, 6, span + 3, 7 * span / 2].into_iter().enumerate() {
+                // Tiles around the odd slot of the first wait-and-go
+                // position the station may transmit at.
+                let first_odd = sigma | 1;
+                let go = 2 * p.schedule.next_boundary((first_odd - 1) / 2) + 1;
+                let mut bases: Vec<Slot> = [0, 1, 2, 40, 63, 64]
+                    .iter()
+                    .map(|&back| go.saturating_sub(back).max(sigma))
+                    .collect();
+                bases.extend([
+                    go + 1,
+                    sigma + span - 1,
+                    (go + span).saturating_sub(3).max(sigma),
+                ]);
+                bases.extend(random_bases(i as u64, 12, sigma, sigma + 3 * span));
+                for id in [0, n / 2, n - 1] {
+                    assert_fill_matches_act(&p, id, sigma, &bases);
+                }
+            }
+        }
     }
 
     #[test]

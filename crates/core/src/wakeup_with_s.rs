@@ -11,6 +11,7 @@
 //! (Theorem 2.1 for `k > n/c`; Clementi–Monti–Silvestri for `k ≤ n/64`).
 
 use crate::family_provider::FamilyProvider;
+use crate::round_robin::round_robin_even_slots;
 use crate::select_among_first::{
     AnyMemberScan, DoublingSchedule, NextPositionCache, Scan, CLASS_SCAN_BUDGET,
 };
@@ -128,23 +129,14 @@ impl Station for WwsStation {
 
     fn fill_tx_word(&mut self, base: Slot, width: u32) -> Option<TxWord> {
         // Both components are oblivious (participation fixed at wake), so
-        // the interleaved tile is an unconditional fact: round-robin parity
-        // arithmetic on even slots, one schedule lookup per odd slot.
-        let n = u64::from(self.n);
-        let id = u64::from(self.id.0);
-        let mut bits = 0u64;
-        for j in 0..u64::from(width) {
-            let t = base + j;
-            let tx = if t.is_multiple_of(2) {
-                (t / 2) % n == id
-            } else if self.participates_saf && t >= self.s {
-                self.schedule.transmits(self.id.0, self.saf_position(t))
-            } else {
-                false
-            };
-            if tx {
-                bits |= 1u64 << j;
-            }
+        // the interleaved tile is an unconditional fact: round-robin turns
+        // on even slots, one schedule word spread onto the odd slots.
+        let mut bits = round_robin_even_slots(self.n, self.id.0, base, width);
+        if self.participates_saf {
+            let first_odd = self.s + (self.s + 1) % 2;
+            bits |= self
+                .schedule
+                .fill_odd_slots(self.id.0, first_odd, first_odd, base, width);
         }
         Some(TxWord::forever(bits))
     }
@@ -207,9 +199,8 @@ impl ClassStation for WwsClass {
                 tally.push(StationId(owner));
             }
         } else if self.participates_saf && t >= self.s {
-            let first_odd = self.first_odd();
-            let (schedule, p) = (&self.schedule, (t - first_odd) / 2);
-            tally.record_members(&self.members, |u| schedule.transmits(u, p));
+            let set = self.schedule.set_at((t - self.first_odd()) / 2);
+            tally.record_members(&self.members, |u| set.contains(u));
         }
     }
 
@@ -408,6 +399,28 @@ mod tests {
         assert_eq!(concrete.winner, classed.winner);
         assert_eq!(concrete.transmissions, classed.transmissions);
         assert_eq!(classed.peak_units, 1);
+    }
+
+    #[test]
+    fn word_fill_matches_act() {
+        use crate::fill_check::{assert_fill_matches_act, random_bases};
+        for (provider, s) in [
+            (FamilyProvider::random_with_seed(4), 20u64),
+            (FamilyProvider::random_with_seed(4), 21),
+            (FamilyProvider::KautzSingleton, 7),
+        ] {
+            let n = 48u32;
+            let p = WakeupWithS::new(n, s, provider);
+            let span = 2 * p.schedule.period();
+            let mut bases = vec![s, s + 1, s + span - 3];
+            bases.extend(random_bases(s, 12, s, s + 3 * span));
+            for id in [0, 17, n - 1] {
+                // A participant (woken at s) and a latecomer.
+                assert_fill_matches_act(&p, id, s, &bases);
+                let late: Vec<Slot> = bases.iter().map(|&b| b + 2).collect();
+                assert_fill_matches_act(&p, id, s + 2, &late);
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,9 @@ fn mix(mut z: u64) -> u64 {
 ///
 /// Used as the source of "independent" coins: distinct argument tuples give
 /// decorrelated outputs; equal tuples always give equal outputs. Defined as
-/// the [`GapScanner`] prefix over `(seed, a, b)` finalized with `c` — there
-/// is exactly one copy of the mixing cascade.
+/// the prefix chain [`SeedPrefix`] → [`RowPrefix`] → [`GapScanner`] over
+/// `(seed, a, b)` finalized with `c` — there is exactly one copy of the
+/// mixing cascade.
 #[inline]
 pub fn hash4(seed: u64, a: u64, b: u64, c: u64) -> u64 {
     GapScanner::new(seed, a, b).hash(c)
@@ -47,13 +48,65 @@ pub fn coin_pow2(seed: u64, a: u64, b: u64, c: u64, d: u32) -> bool {
     GapScanner::new(seed, a, b).coin(c, d)
 }
 
+/// The mixing state after folding `seed` — the first link of the prefix
+/// chain behind [`hash4`].
+///
+/// The cascade diffuses its four inputs one after another, so every caller
+/// that holds some leading inputs fixed can fold them once and reuse the
+/// state: [`SeedPrefix::row`] folds `a`, [`RowPrefix::scanner`] folds `b`,
+/// and [`GapScanner::hash`] finishes with `c`. Each link costs one mixing
+/// round (the finish costs two), and every path through the chain is
+/// bit-identical to [`hash4`]. A PRF family stores its `SeedPrefix`, so a
+/// membership coin costs 4 of the 5 rounds; a sweep over many stations at
+/// one set index folds the [`RowPrefix`] once and pays 3 per station.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeedPrefix {
+    /// Mixing state after folding `seed`.
+    state: u64,
+}
+
+impl SeedPrefix {
+    /// Fold `seed` (the first input of [`hash4`]).
+    #[inline]
+    pub fn new(seed: u64) -> Self {
+        SeedPrefix {
+            state: mix(seed ^ 0x243F_6A88_85A3_08D3),
+        }
+    }
+
+    /// Fold the second input `a`.
+    #[inline]
+    pub fn row(&self, a: u64) -> RowPrefix {
+        RowPrefix {
+            state: mix(self.state ^ a ^ 0x1319_8A2E_0370_7344),
+        }
+    }
+}
+
+/// The mixing state after folding `seed` and `a` — the middle link of the
+/// prefix chain (see [`SeedPrefix`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RowPrefix {
+    /// Mixing state after folding `seed` and `a`.
+    state: u64,
+}
+
+impl RowPrefix {
+    /// Fold the third input `b`.
+    #[inline]
+    pub fn scanner(&self, b: u64) -> GapScanner {
+        GapScanner {
+            prefix: mix(self.state ^ b ^ 0xA409_3822_299F_31D0),
+        }
+    }
+}
+
 /// An amortized evaluator for runs of coins sharing a `(seed, a, b)`
 /// prefix: jump to the next *set* position of a pseudorandom row in
 /// O(expected gap) with a fraction of the per-coin hashing cost.
 ///
-/// The cascade diffuses its four inputs sequentially, so the mixing state
-/// after folding `seed`, `a` and `b` can be computed once and reused for
-/// every `c`. [`GapScanner::coin`] is **bit-identical** to
+/// The last link of the prefix chain ([`SeedPrefix`] → [`RowPrefix`] →
+/// `GapScanner`). [`GapScanner::coin`] is **bit-identical** to
 /// [`coin_pow2`]`(seed, a, b, c, d)` — [`hash4`] and [`coin_pow2`] are
 /// defined *in terms of* the scanner, so there is a single copy of the
 /// round constants — but amortized use performs 2 of the 5 mixing rounds
@@ -72,15 +125,13 @@ pub struct GapScanner {
 
 impl GapScanner {
     /// Precompute the mixing prefix for coins of the form
-    /// `coin_pow2(seed, a, b, ·, ·)`. Each input is folded with a distinct
-    /// additive constant so that permutations of the arguments yield
-    /// unrelated outputs.
+    /// `coin_pow2(seed, a, b, ·, ·)` — shorthand for
+    /// `SeedPrefix::new(seed).row(a).scanner(b)`. Each input is folded with
+    /// a distinct additive constant so that permutations of the arguments
+    /// yield unrelated outputs.
     #[inline]
     pub fn new(seed: u64, a: u64, b: u64) -> Self {
-        let mut h = mix(seed ^ 0x243F_6A88_85A3_08D3);
-        h = mix(h ^ a ^ 0x1319_8A2E_0370_7344);
-        h = mix(h ^ b ^ 0xA409_3822_299F_31D0);
-        GapScanner { prefix: h }
+        SeedPrefix::new(seed).row(a).scanner(b)
     }
 
     /// The full hash — equals `hash4(seed, a, b, c)` bit for bit (it *is*
@@ -121,9 +172,16 @@ pub fn coin(seed: u64, a: u64, b: u64, c: u64, p: f64) -> bool {
     if p <= 0.0 {
         return false;
     }
+    hash4(seed, a, b, c) <= coin_threshold(p)
+}
+
+/// The hash threshold of a [`coin`] with probability `p ∈ (0, 1)`: the coin
+/// is set iff `hash4(…) <= coin_threshold(p)`. Callers flipping many coins
+/// at one `p` compute it once.
+#[inline]
+pub fn coin_threshold(p: f64) -> u64 {
     // Compare the hash against p·2^64 without losing precision at the top.
-    let threshold = (p * (u64::MAX as f64)) as u64;
-    hash4(seed, a, b, c) <= threshold
+    (p * (u64::MAX as f64)) as u64
 }
 
 #[cfg(test)]
@@ -196,6 +254,44 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_chain_is_bit_identical_to_the_cascade() {
+        // The five-round cascade written out in one piece: every link of
+        // the chain must reproduce it.
+        let reference = |seed: u64, a: u64, b: u64, c: u64| {
+            let mut h = mix(seed ^ 0x243F_6A88_85A3_08D3);
+            h = mix(h ^ a ^ 0x1319_8A2E_0370_7344);
+            h = mix(h ^ b ^ 0xA409_3822_299F_31D0);
+            mix(mix(h ^ c ^ 0x082E_FA98_EC4E_6C89))
+        };
+        for seed in [0u64, 7, u64::MAX] {
+            let sp = SeedPrefix::new(seed);
+            for a in [0u64, 5, 1 << 33] {
+                let row = sp.row(a);
+                for b in [0u64, 1, 1023] {
+                    let via_chain = row.scanner(b);
+                    let direct = GapScanner::new(seed, a, b);
+                    for c in [0u64, 1, 99] {
+                        let want = reference(seed, a, b, c);
+                        assert_eq!(via_chain.hash(c), want);
+                        assert_eq!(direct.hash(c), want);
+                        assert_eq!(hash4(seed, a, b, c), want);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coin_is_the_threshold_compare() {
+        for p in [0.5f64, 1.0 / 3.0, 1.0 / 1023.0] {
+            let t = coin_threshold(p);
+            for i in 0..2_000u64 {
+                assert_eq!(coin(3, i, 8, 0, p), hash4(3, i, 8, 0) <= t);
             }
         }
     }

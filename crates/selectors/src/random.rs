@@ -23,8 +23,16 @@
 //!
 //! matching the Komlós–Greenberg `O(k + k log(n/k))` bound with explicit
 //! constants. This is the same existence argument as the paper's §3 citation
-//! of \[25\]; see `DESIGN.md` §4 for why a seeded sample of the ensemble is the
-//! faithful executable form of an existential combinatorial object.
+//! of \[25\].
+//!
+//! The paper needs such a family only to *exist*. The union bound says more:
+//! all but a `δ` fraction of the ensemble of random `m`-set families is
+//! selective. A family drawn under a fixed PRF seed is one concrete member of
+//! that ensemble, so it is selective unless the seed falls in a set of
+//! measure `δ` — and, unlike a bare existence proof, it can be run. The seed
+//! also makes every station agree on the same family without communication,
+//! and the checkers in [`verify`](crate::verify) can confirm the sample at
+//! small `n`.
 //!
 //! Two representations are built from the same coins:
 //!
@@ -37,7 +45,7 @@
 use crate::bitset::BitSet;
 use crate::family::SelectiveFamily;
 use crate::math::ln_choose;
-use crate::prf::coin;
+use crate::prf::{coin_threshold, RowPrefix, SeedPrefix};
 use crate::verify::selective_size_range;
 
 /// Builder for randomized `(n,k)`-selective families.
@@ -122,22 +130,13 @@ impl RandomFamilyBuilder {
         1.0 / f64::from(self.k)
     }
 
-    /// Build the explicit (materialized) family.
+    /// Build the explicit (materialized) family: the sets of
+    /// [`build_oracle`](Self::build_oracle), evaluated once.
     pub fn build_explicit(&self) -> SelectiveFamily {
-        let m = self.prescribed_length();
         if self.k == 1 {
             return SelectiveFamily::new(self.n, 1, vec![BitSet::full(self.n)]);
         }
-        let p = self.density();
-        let sets = (0..m)
-            .map(|j| {
-                BitSet::from_iter_members(
-                    self.n,
-                    (0..self.n).filter(|&u| coin(self.seed, j as u64, u64::from(u), 0, p)),
-                )
-            })
-            .collect();
-        SelectiveFamily::new(self.n, self.k, sets)
+        self.build_oracle().materialize()
     }
 
     /// Build the oracle (on-demand) family. Membership answers are
@@ -146,22 +145,29 @@ impl RandomFamilyBuilder {
         OracleFamily {
             n: self.n,
             k: self.k,
-            seed: self.seed,
             len: self.prescribed_length(),
-            p: self.density(),
+            prefix: SeedPrefix::new(self.seed),
+            threshold: coin_threshold(self.density()),
         }
     }
 }
 
 /// An `(n,k)`-selective family represented as a PRF oracle: membership is
 /// computed on demand, nothing is materialized.
+///
+/// Station `u` belongs to set `j` iff
+/// [`coin`](crate::prf::coin)`(seed, j, u, 0, 1/k)`. The family keeps that
+/// coin's seed folded ([`SeedPrefix`]) and its threshold computed, so a
+/// membership test costs 4 mixing rounds and an integer compare.
 #[derive(Clone, Copy, Debug)]
 pub struct OracleFamily {
     n: u32,
     k: u32,
-    seed: u64,
     len: usize,
-    p: f64,
+    /// The PRF seed, folded once.
+    prefix: SeedPrefix,
+    /// `coin_threshold(1/k)`: a coin is set iff its hash is at most this.
+    threshold: u64,
 }
 
 impl OracleFamily {
@@ -193,20 +199,73 @@ impl OracleFamily {
     #[inline]
     pub fn transmits(&self, id: u32, j: usize) -> bool {
         debug_assert!(j < self.len);
-        if self.k == 1 {
-            return true; // the single full set
+        self.set(j).contains(id)
+    }
+
+    /// Transmission set `j` as a membership test with `(seed, j)` folded
+    /// once: each station it is asked about then costs 3 mixing rounds.
+    #[inline]
+    pub fn set(&self, j: usize) -> OracleSet {
+        OracleSet {
+            row: self.prefix.row(j as u64),
+            threshold: self.threshold,
+            n: self.n,
+            full: self.k == 1,
         }
-        id < self.n && coin(self.seed, j as u64, u64::from(id), 0, self.p)
+    }
+
+    /// Station `id`'s membership in sets `j0 … j0 + width − 1` as one word
+    /// (`width ≤ 64`): bit `i` is [`transmits`](Self::transmits)`(id, j0 +
+    /// i)`. Positions at or past [`len`](Self::len) read as clear.
+    #[inline]
+    pub fn fill_word(&self, id: u32, j0: usize, width: u32) -> u64 {
+        debug_assert!(width <= 64);
+        let count = self.len.saturating_sub(j0).min(width as usize);
+        let mut bits = 0u64;
+        let mut i = 0;
+        // Four independent coins per step, advanced one link of the prefix
+        // chain at a time, so their mixing rounds overlap in the pipeline.
+        while i + 4 <= count {
+            let sets: [OracleSet; 4] = std::array::from_fn(|l| self.set(j0 + i + l));
+            for (l, hit) in sets.map(|set| set.contains(id)).into_iter().enumerate() {
+                bits |= u64::from(hit) << (i + l);
+            }
+            i += 4;
+        }
+        for i in i..count {
+            bits |= u64::from(self.set(j0 + i).contains(id)) << i;
+        }
+        bits
     }
 
     /// Materialize into an explicit family (for verification).
     pub fn materialize(&self) -> SelectiveFamily {
         let sets = (0..self.len)
             .map(|j| {
-                BitSet::from_iter_members(self.n, (0..self.n).filter(|&u| self.transmits(u, j)))
+                let set = self.set(j);
+                BitSet::from_iter_members(self.n, (0..self.n).filter(|&u| set.contains(u)))
             })
             .collect();
         SelectiveFamily::new(self.n, self.k, sets)
+    }
+}
+
+/// One transmission set of an [`OracleFamily`], with the set index folded
+/// into the PRF state ([`OracleFamily::set`]).
+#[derive(Clone, Copy, Debug)]
+pub struct OracleSet {
+    row: RowPrefix,
+    threshold: u64,
+    n: u32,
+    /// The `k = 1` family's single set holds every station.
+    full: bool,
+}
+
+impl OracleSet {
+    /// Does station `id` belong to this set?
+    #[inline]
+    pub fn contains(&self, id: u32) -> bool {
+        self.full || (id < self.n && self.row.scanner(u64::from(id)).hash(0) <= self.threshold)
     }
 }
 
@@ -265,6 +324,50 @@ mod tests {
                     oracle.transmits(u, j),
                     "mismatch at set {j}, station {u}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn explicit_equals_materialized_oracle_off_word_boundaries() {
+        // n = 1000 is not a multiple of 64: the last word of every set is
+        // partial.
+        let b = RandomFamilyBuilder::new(1000, 16).seed(41);
+        assert_eq!(b.build_explicit(), b.build_oracle().materialize());
+    }
+
+    #[test]
+    fn oracle_coins_are_the_prf_coins() {
+        // Membership is exactly coin(seed, j, u, 0, 1/k), out-of-universe
+        // stations included.
+        let (n, k, seed) = (100u32, 7u32, 12u64);
+        let oracle = RandomFamilyBuilder::new(n, k).seed(seed).build_oracle();
+        for j in 0..oracle.len() {
+            for u in 0..n + 3 {
+                let want = u < n && crate::prf::coin(seed, j as u64, u64::from(u), 0, 1.0 / 7.0);
+                assert_eq!(oracle.transmits(u, j), want, "set {j}, station {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_fill_word_matches_transmits() {
+        for (n, k) in [(1024u32, 1023u32), (64, 8), (40, 1)] {
+            let oracle = RandomFamilyBuilder::new(n, k).seed(3).build_oracle();
+            let len = oracle.len();
+            for id in [0u32, 1, n / 2, n - 1, n, n + 7] {
+                for j0 in [0usize, 1, 63, len.saturating_sub(5), len, len + 3] {
+                    for width in [0u32, 1, 5, 31, 64] {
+                        let want = (0..width as usize)
+                            .filter(|&i| j0 + i < len && oracle.transmits(id, j0 + i))
+                            .fold(0u64, |w, i| w | 1 << i);
+                        assert_eq!(
+                            oracle.fill_word(id, j0, width),
+                            want,
+                            "n={n} k={k} id={id} j0={j0} width={width}"
+                        );
+                    }
+                }
             }
         }
     }
