@@ -11,8 +11,7 @@
 //!
 //! Flags fall back to the historical environment variables where one
 //! exists (`--scale` → `WAKEUP_SCALE`, `--threads` → `WAKEUP_THREADS`), so
-//! existing invocations and CI recipes keep working; the `exp_*` binaries
-//! are shims onto [`shim`].
+//! existing invocations and CI recipes keep working.
 
 use crate::experiment::{run_experiment_with, Knobs};
 use crate::experiments;
@@ -58,14 +57,11 @@ pub struct Config {
     /// realizations per sweep cell, amortizing construction through the
     /// ensemble-wide cache instead of building one family per run.
     pub family_pool: Option<u64>,
-    /// Self-calibrate the adaptive engine constants per ensemble
-    /// (`--calibrate`, else `WAKEUP_CALIBRATE=1`). Outcomes are unchanged;
-    /// work counters become machine-dependent.
-    pub calibrate: bool,
 }
 
 impl Config {
-    /// The environment-only configuration the shim binaries run with.
+    /// The environment-only configuration: every flag at its environment
+    /// fallback or default.
     pub fn from_env() -> Config {
         Config {
             scale: Scale::from_env(),
@@ -81,7 +77,6 @@ impl Config {
                 .ok()
                 .and_then(|v| v.parse::<u64>().ok())
                 .filter(|&f| f >= 1),
-            calibrate: matches!(std::env::var("WAKEUP_CALIBRATE").as_deref(), Ok("1")),
         }
     }
 }
@@ -111,9 +106,6 @@ OPTIONS:
                            realizations per sweep cell (construction amortized
                            through the ensemble cache; default: $WAKEUP_FAMILY_POOL
                            or one fresh family per run)
-    --calibrate            self-calibrate the adaptive engine constants per
-                           ensemble (default: $WAKEUP_CALIBRATE=1; outcomes
-                           unchanged, work counters become machine-dependent)
     --time-box SECS        schedule the selection inside this wall-clock box:
                            at full scale, run budget-ascending (declared
                            per-experiment budgets) and stop before the
@@ -355,7 +347,6 @@ fn parse_run(
                 }
                 config.family_pool = Some(f);
             }
-            "--calibrate" => config.calibrate = true,
             "--time-box" => {
                 let v = value(it, "--time-box")?;
                 config.time_box =
@@ -535,7 +526,6 @@ pub fn run_many(names: &[String], config: &Config) -> std::io::Result<u64> {
             trace,
             Knobs {
                 family_pool: config.family_pool,
-                calibrate: config.calibrate,
             },
             sink.as_mut(),
         );
@@ -610,22 +600,6 @@ pub fn main() -> i32 {
             }
         }
     }
-}
-
-/// Entry point of the historical `exp_*` shim binaries: run one registry
-/// entry with pure environment configuration and pretty output on stdout —
-/// exactly the behavior the standalone binaries had.
-pub fn shim(name: &str) -> ! {
-    let config = Config::from_env();
-    let code = match run_many(&[name.to_string()], &config) {
-        Ok(0) => 0,
-        Ok(_) => 1,
-        Err(e) => {
-            eprintln!("{name}: i/o error: {e}");
-            2
-        }
-    };
-    std::process::exit(code)
 }
 
 #[cfg(test)]
@@ -735,19 +709,19 @@ mod tests {
 
     #[test]
     fn parse_family_pool_and_calibrate() {
-        // Defaults: no pool, no calibration (env is not set under test).
+        // Default: no pool (env is not set under test).
         let Ok(Command::Run { config, .. }) = parse(&argv("run exp_scenario_a")) else {
             panic!("run did not parse");
         };
         assert_eq!(config.family_pool, None);
-        assert!(!config.calibrate);
-        let Ok(Command::Run { config, .. }) = parse(&argv(
-            "run exp_scenario_a exp_scenario_b --family-pool 8 --calibrate",
-        )) else {
+        let Ok(Command::Run { config, .. }) =
+            parse(&argv("run exp_scenario_a exp_scenario_b --family-pool 8"))
+        else {
             panic!("run with knobs did not parse");
         };
         assert_eq!(config.family_pool, Some(8));
-        assert!(config.calibrate);
+        // The calibration flag is gone: it is an unknown option now.
+        assert!(parse(&argv("run exp_scenario_a --calibrate")).is_err());
         assert!(parse(&argv("run exp_scenario_a --family-pool 0")).is_err());
         assert!(parse(&argv("run exp_scenario_a --family-pool lots")).is_err());
         assert!(parse(&argv("run exp_scenario_a --family-pool")).is_err());

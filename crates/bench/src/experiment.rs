@@ -66,10 +66,6 @@ pub struct Knobs {
     /// pool of `F` realizations per sweep cell, so construction is
     /// amortized through the ensemble cache instead of paid once per run.
     pub family_pool: Option<u64>,
-    /// `--calibrate`: every [`EnsembleSpec`] built by the context
-    /// self-calibrates the adaptive engine constants against the protocol
-    /// (outcomes unchanged; work counters become machine-dependent).
-    pub calibrate: bool,
 }
 
 /// A declarative expectation on measured results — the replacement for the
@@ -136,7 +132,7 @@ pub struct Ctx<'a> {
     ensembles: Cell<u64>,
     /// Structured-trace capture attached to every spec built here.
     trace: Option<TraceSpec>,
-    /// CLI workload knobs (family pooling, self-calibration).
+    /// CLI workload knobs (family pooling).
     knobs: Knobs,
 }
 
@@ -179,7 +175,7 @@ impl<'a> Ctx<'a> {
         self
     }
 
-    /// Attach the CLI workload knobs (family pooling, self-calibration).
+    /// Attach the CLI workload knobs (family pooling).
     pub fn with_knobs(mut self, knobs: Knobs) -> Self {
         self.knobs = knobs;
         self
@@ -246,9 +242,6 @@ impl<'a> Ctx<'a> {
         }
         if let Some(trace) = &self.trace {
             spec = spec.with_trace(trace.clone());
-        }
-        if self.knobs.calibrate {
-            spec = spec.with_calibration();
         }
         self.ensembles.set(self.ensembles.get() + 1);
         spec

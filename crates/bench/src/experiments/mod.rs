@@ -1,12 +1,8 @@
 //! The experiment registry: all 17 experiments as data.
 //!
-//! Each submodule holds one ported experiment body (the code that used to
-//! live in the corresponding `exp_*` binary) plus its [`Experiment`]
+//! Each submodule holds one experiment body plus its [`Experiment`]
 //! declaration; [`registry`] lists them in the order of the historical
-//! crate docs. The binaries still exist as shims that run their registry
-//! entry with the environment-variable configuration, so
-//! `cargo run --bin exp_scenario_a` behaves exactly as before the
-//! redesign.
+//! crate docs. `wakeup run <name>` runs one entry.
 
 use crate::experiment::Experiment;
 

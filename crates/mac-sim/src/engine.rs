@@ -1,43 +1,55 @@
 //! The simulator: drives stations and resolves the channel, skipping
 //! provably silent slots where the protocol allows it.
 //!
-//! [`Simulator::run`] executes one wake-up pattern against one protocol:
+//! [`Simulator::run`] executes one wake-up pattern against one protocol in a
+//! single event loop:
 //!
-//! 1. stations are instantiated lazily at their wake-up slots;
-//! 2. the engine picks between two execution paths:
-//!    * **sparse** (the default whenever every awake station answers
+//! 1. stations are admitted lazily at their wake-up slots into a **unit
+//!    store**. Two stores share the loop, statically dispatched: one boxed
+//!    [`Station`] per woken station ([`PopulationMode::Concrete`]), or
+//!    weighted [`ClassStation`]s standing in for whole equivalence classes
+//!    of stations ([`PopulationMode::Classes`], O(classes) memory). Classes
+//!    split lazily when feedback makes their members diverge;
+//! 2. the loop picks between two execution paths:
+//!    * **sparse** (the default whenever every unit answers
 //!      [`Station::next_transmission`] with a concrete hint): a min-heap of
-//!      per-station due slots — hinted transmissions and hint-scope
+//!      per-unit due slots — hinted transmissions and hint-scope
 //!      boundaries — advances time directly from event to event in
 //!      `O(log k)` per event, accounting the skipped gap as silent slots
 //!      without polling anyone. Hints are **epoch-scoped**
 //!      ([`Until`]): each re-query bumps the
-//!      station's hint epoch (stale heap entries are discarded lazily), and
-//!      an event re-queries *only* the stations it invalidated — the
-//!      polled stations, plus, after a successful slot, every station
+//!      unit's hint epoch (stale heap entries are discarded lazily), and
+//!      an event re-queries *only* the units it invalidated — the
+//!      polled units, plus, after a successful slot, every unit
 //!      holding an [`Until::NextSuccess`](crate::station::Until)-scoped
 //!      hint (which first receives the success feedback). This is what lets
 //!      feedback-reactive protocols (retirement under
 //!      [`StopRule::AllResolved`]) run sparse;
-//!    * **dense** (any station answers [`TxHint::Dense`], or
-//!      [`SimConfig::engine`] forces it): every awake station is polled
+//!    * **dense** (any unit answers [`TxHint::Dense`], or
+//!      [`SimConfig::engine`] forces it): every unit is polled
 //!      ([`Station::act`]) every slot — the exact historical semantics;
 //!
-//!    [`EngineMode::Auto`] is moreover **adaptive**: it tracks the *skip
-//!    yield* of the sparse path online (slots skipped per unit of heap and
-//!    hint work over a sliding cost window) and, when the heap stops paying
-//!    for itself — burst-shaped stretches where some station is due every
-//!    slot — drops into tight per-slot *dense stepping* for a bounded burst
-//!    window, re-probing sparsity at window expiry and at success events
-//!    (with exponential backoff while the probes keep failing). Bursts thus
-//!    run at dense speed while gaps keep the full sparse speedup.
+//!    For concrete stations [`EngineMode::Auto`] is moreover **adaptive**:
+//!    it tracks the *skip yield* of the sparse path online (slots skipped
+//!    per unit of heap and hint work over a sliding cost window) and, when
+//!    the heap stops paying for itself — burst-shaped stretches where some
+//!    station is due every slot — drops into dense stepping for a bounded
+//!    burst window, re-probing sparsity at window expiry and at success
+//!    events (with exponential backoff while the probes keep failing).
+//!    Bursts that outlive a short scalar warmup are stepped by the
+//!    word-level kernel of [`EngineMode::Bitslab`]. Bursts thus run at dense
+//!    speed while gaps keep the full sparse speedup. Class runs keep the
+//!    plain discipline: sparse until a unit forces dense, no burst windows,
+//!    no word kernel;
 //!
-//!    All paths produce **identical** [`Outcome`]s and transcripts; only
-//!    the work counters ([`Outcome::polls`], [`Outcome::skipped_slots`],
-//!    [`Outcome::dense_steps`], [`Outcome::mode_switches`]) reveal which
-//!    path — and which adaptive schedule — ran;
-//! 3. each simulated slot, the channel resolves ([`SlotOutcome::resolve`])
-//!    and feedback is delivered under the configured [`FeedbackModel`];
+//!    All paths and both stores produce **identical** [`Outcome`]s and
+//!    transcripts; only the work counters ([`Outcome::polls`],
+//!    [`Outcome::skipped_slots`], [`Outcome::dense_steps`],
+//!    [`Outcome::word_slots`], [`Outcome::mode_switches`],
+//!    [`Outcome::peak_units`]) reveal which path and store ran;
+//! 3. each simulated slot, the channel resolves ([`SlotOutcome::resolve`]),
+//!    channel faults apply, and feedback is delivered under the configured
+//!    [`FeedbackModel`] — one settlement step shared by every path;
 //! 4. the run ends at the **first successful slot** (the wake-up problem is
 //!    solved — "once one of the active stations manages to send its message
 //!    successfully on the channel, the message is heard by all other
@@ -53,15 +65,18 @@ use crate::channel::{
 use crate::ids::{Slot, StationId};
 use crate::pattern::{ChurnScript, WakePattern};
 use crate::population::{
-    ClassPopulation, DeadClass, MemberRemoval, Members, Population, PopulationMode, TxTally,
+    ClassStation, DeadClass, MemberRemoval, Members, PopulationMode, SingletonClass, TxTally,
 };
 use crate::rng::{derive_seed, FAULT_STREAM, REWAKE_STREAM};
 use crate::station::{NeverTransmit, Protocol, Station, TxHint, Until};
 use crate::trace::{SlotRecord, Transcript};
 use crate::tracer::{BufferTracer, NoopTracer, TraceEvent, TraceKind, Tracer};
 use selectors::transpose64;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::convert::Infallible;
+use std::ops::Range;
 
 /// When the engine ends a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -107,9 +122,11 @@ pub enum EngineMode {
     /// ([`Outcome::word_slots`]) differ. Falls back to scalar dense polling
     /// permanently when any station answers [`TxHint::Dense`]. Under
     /// [`EngineMode::Auto`] the same kernel powers the adaptive policy's
-    /// dense burst windows once a window survives its scalar warmup
-    /// ([`PolicyParams::kernel_warmup`]); this mode exists to force it
-    /// everywhere (benchmark baselines, equivalence tests).
+    /// dense burst windows once a window survives its scalar warmup (16
+    /// slots); this mode exists to force it everywhere (benchmark
+    /// baselines, equivalence tests). The kernel plans concrete stations
+    /// only: class runs ([`PopulationMode::Classes`]) step scalar dense
+    /// under this mode.
     Bitslab,
 }
 
@@ -136,17 +153,11 @@ pub struct SimConfig {
     pub population: PopulationMode,
     /// Track per-station transmission counts
     /// ([`Outcome::per_station_tx`], on by default). Turn **off** for mega
-    /// runs: the table is O(k) in both engines, and with it off both
-    /// engines leave it empty — outcomes stay comparable per config.
+    /// runs: the table is O(k) under both populations, and with it off both
+    /// leave it empty — outcomes stay comparable per config.
     pub per_station_detail: bool,
-    /// Constants of the adaptive [`EngineMode::Auto`] policy (hint-query
-    /// cost, burst-window floors, …). Defaults to the hand-tuned
-    /// [`PolicyParams::default`]; [`PolicyParams::calibrated`] measures
-    /// them against the actual protocol on the actual machine. Outcomes
-    /// are policy-independent — only work counters move.
-    pub policy: PolicyParams,
-    /// Split budget of the class engine ([`PopulationMode::Classes`]): when
-    /// the number of live simulation units exceeds this, the class run is
+    /// Split budget of class runs ([`PopulationMode::Classes`]): when the
+    /// number of live simulation units exceeds this, the class run is
     /// abandoned and the engine re-runs the pattern concretely — a
     /// population fragmenting into Ω(members) singleton classes pays per-
     /// unit split bookkeeping *on top of* per-station work, so wholesale
@@ -187,7 +198,6 @@ impl SimConfig {
             engine: EngineMode::Auto,
             population: PopulationMode::default(),
             per_station_detail: true,
-            policy: PolicyParams::default(),
             split_budget: None,
             channel: ChannelModel::ideal(),
             churn: ChurnScript::none(),
@@ -247,14 +257,7 @@ impl SimConfig {
         self
     }
 
-    /// Replace the adaptive-policy constants (e.g. with a
-    /// [`PolicyParams::calibrated`] set).
-    pub fn with_policy(mut self, policy: PolicyParams) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Set the class engine's split budget (`Some(u64::MAX)` disables the
+    /// Set the class runs' split budget (`Some(u64::MAX)` disables the
     /// flip-to-concrete guard; see [`SimConfig::split_budget`]).
     pub fn with_split_budget(mut self, budget: Option<u64>) -> Self {
         self.split_budget = budget;
@@ -300,9 +303,8 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
 /// The result of one simulated run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Outcome {
     /// The first wake-up slot `s` of the pattern.
     pub s: Slot,
@@ -404,17 +406,121 @@ impl Outcome {
     }
 }
 
-/// What the engine does when a station's heap entry comes due.
+// Constants of the adaptive `EngineMode::Auto` policy, hand-tuned on a
+// typical x86 box. Outcomes never depend on them — they steer only which
+// path simulates each slot, so a mistuned constant costs time, not
+// correctness.
+
+/// Cost of one [`Station::next_transmission`] query relative to one
+/// [`Station::act`] poll: hint queries scan schedules (PRF gap jumps,
+/// position walks) and cost several polls.
+const HINT_COST: u64 = 3;
+/// What one dense-stepped slot costs per awake station in the same units:
+/// one poll plus one feedback delivery.
+const DENSE_SLOT_COST: u64 = 2;
+/// The policy evaluates the skip yield every time this much sparse work
+/// (polls + weighted hint queries) has accumulated since the window start.
+const EVAL_COST: u64 = 64;
+/// Minimum skippable gap (in slots) a re-probe must see ahead to resume the
+/// sparse path; anything closer and the heap would be churning again within
+/// a few slots. Also the wake-time burst test: a batch arrival whose
+/// earliest obligation is due within this gap has nothing to skip.
+const RESUME_GAP: u64 = 4;
+/// Minimum dense burst-window length in slots — long enough to amortize the
+/// k hint queries a re-probe costs.
+const BURST_FLOOR: u64 = 64;
+/// Scalar-dense slots a burst window must survive before the word kernel
+/// takes over: bursts that resolve within a handful of slots — the no-skip
+/// adversarial shape — never pay for a tile fill they cannot amortize.
+const KERNEL_WARMUP: u64 = 16;
+/// Width of the first word tile of a kernel engagement. Each contiguous
+/// follow-up doubles it, so a run that ends a few slots into a burst never
+/// pays for a full 64-slot fill, while a long burst reaches full-word tiles
+/// after three doublings.
+const WORD_RAMP_SEED: u64 = 8;
+
+/// The adaptive sparse↔dense policy of [`EngineMode::Auto`]: a sliding cost
+/// window over the sparse path's work, compared against what dense stepping
+/// would have cost over the same simulated slots.
+#[derive(Clone, Copy, Debug, Default)]
+struct Adaptive {
+    /// Sparse work (polls + `HINT_COST`·hint queries) since the window
+    /// started.
+    win_cost: u64,
+    /// `slots_simulated` at the window start.
+    win_start: u64,
+    /// Current dense burst-window length in slots (doubled while re-probes
+    /// keep failing, reset when a probe finds a skippable gap).
+    burst_len: u64,
+    /// Slots left in the active burst window (meaningful in dense stepping).
+    burst_remaining: u64,
+}
+
+impl Adaptive {
+    /// Evaluate the window: `true` iff the sparse path has done more work
+    /// over the window than dense stepping would have
+    /// (`DENSE_SLOT_COST · awake` per slot) — time to drop into a burst
+    /// window. A window that passes the yield test resets so old gaps
+    /// cannot subsidize a later burst forever.
+    fn should_burst(&mut self, slots_now: u64, awake: usize) -> bool {
+        if self.win_cost < EVAL_COST {
+            return false;
+        }
+        let win_slots = (slots_now - self.win_start).max(1);
+        if self.win_cost > DENSE_SLOT_COST * awake as u64 * win_slots {
+            true
+        } else {
+            self.restart(slots_now);
+            false
+        }
+    }
+
+    /// Start a fresh observation window at `slots_now`.
+    fn restart(&mut self, slots_now: u64) {
+        self.win_cost = 0;
+        self.win_start = slots_now;
+    }
+
+    /// Start (or restart) a dense burst window sized to the floor: long
+    /// enough to amortize the k hint queries a re-probe costs.
+    fn start_burst(&mut self, awake: usize) {
+        self.burst_len = (4 * awake as u64).max(BURST_FLOOR);
+        self.burst_remaining = self.burst_len;
+    }
+
+    /// A re-probe failed (no skippable gap ahead): stay dense for a doubled
+    /// window, capped so sparsity is still re-tested periodically.
+    fn backoff(&mut self, awake: usize) {
+        let cap = (64 * awake as u64).max(64 * BURST_FLOOR);
+        self.burst_len = (self.burst_len * 2).clamp(BURST_FLOOR, cap);
+        self.burst_remaining = self.burst_len;
+    }
+
+    /// Has the active burst window survived its scalar warmup? The word
+    /// kernel only takes over once `KERNEL_WARMUP` slots of the window have
+    /// been dense-stepped.
+    fn kernel_warm(&self) -> bool {
+        self.burst_len.saturating_sub(self.burst_remaining) >= KERNEL_WARMUP
+    }
+
+    /// A re-probe succeeded: back to the sparse path with a fresh window.
+    fn resume_sparse(&mut self, slots_now: u64) {
+        *self = Adaptive::default();
+        self.win_start = slots_now;
+    }
+}
+
+/// What the engine does when a unit's heap entry comes due.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Due {
-    /// Poll the station ([`Station::act`]) — a hinted transmission slot.
+    /// Poll the unit ([`Station::act`]) — a hinted transmission slot.
     Poll,
-    /// Re-query the station's hint — an [`Until::Slot`] scope boundary.
+    /// Re-query the unit's hint — an [`Until::Slot`] scope boundary.
     Requery,
 }
 
-/// Per-station sparse-path bookkeeping. The hint *epoch* stamps heap
-/// entries so entries superseded by a re-query are discarded lazily.
+/// Per-unit sparse-path bookkeeping. The hint *epoch* stamps heap entries
+/// so entries superseded by a re-query are discarded lazily.
 #[derive(Clone, Copy, Debug)]
 struct HintState {
     epoch: u64,
@@ -423,12 +529,231 @@ struct HintState {
 }
 
 impl HintState {
-    fn new() -> Self {
-        HintState {
-            epoch: 0,
-            due: Due::Poll,
-            success_scoped: false,
+    const NEW: HintState = HintState {
+        epoch: 0,
+        due: Due::Poll,
+        success_scoped: false,
+    };
+}
+
+/// The heap entry a hint installs looking from `after` (`None` for an
+/// unconditional silence promise) and whether it is
+/// [`Until::NextSuccess`]-scoped; `None` when the answer —
+/// [`TxHint::Dense`] or a malformed scope boundary — forces the dense path.
+fn claim(hint: TxHint, after: Slot) -> Option<(Option<(Due, Slot)>, bool)> {
+    Some(match hint {
+        TxHint::Dense => return None,
+        TxHint::At(slot, until) => {
+            let slot = slot.max(after);
+            match until {
+                Until::Forever => (Some((Due::Poll, slot)), false),
+                Until::NextSuccess => (Some((Due::Poll, slot)), true),
+                // A validity boundary at or before `after` carries no
+                // silence claim at all: fall back to dense rather than
+                // trust it (correctness first).
+                Until::Slot(tb) if tb <= after => return None,
+                Until::Slot(tb) if slot < tb => (Some((Due::Poll, slot)), false),
+                Until::Slot(tb) => (Some((Due::Requery, tb)), false),
+            }
         }
+        TxHint::Never(until) => match until {
+            Until::Forever => (None, false),
+            Until::NextSuccess => (None, true),
+            Until::Slot(tb) if tb <= after => return None,
+            Until::Slot(tb) => (Some((Due::Requery, tb)), false),
+        },
+    })
+}
+
+/// The sparse path's event index, and the loop's path choice. A min-heap
+/// of `(due slot, unit, hint epoch)` entries — hinted transmissions and
+/// [`Until::Slot`] scope boundaries — with one [`HintState`] per unit. A
+/// unit has at most one *live* entry: re-arming bumps its epoch, and stale
+/// entries are discarded lazily. Units holding an unconditional `Never`
+/// hint have no entry.
+struct HintIndex {
+    heap: BinaryHeap<Reverse<(Slot, usize, u64)>>,
+    states: Vec<HintState>,
+    /// Units holding an [`Until::NextSuccess`]-scoped hint (may hold stale
+    /// indices; the `success_scoped` flag is authoritative).
+    scoped: Vec<usize>,
+    /// Units due for a poll at the current event.
+    polled: Vec<usize>,
+    /// Units due for a hint re-query.
+    requery: Vec<usize>,
+    /// On the sparse path (else stepping dense).
+    sparse: bool,
+    /// Dense for the rest of the run: forced by the [`EngineMode`], or some
+    /// unit's hint could not be trusted.
+    locked: bool,
+}
+
+impl HintIndex {
+    /// An index for about `units` units, pre-sized for them.
+    fn new(engine: EngineMode, units: usize) -> Self {
+        let sparse = engine == EngineMode::Auto;
+        HintIndex {
+            heap: BinaryHeap::with_capacity(if sparse { units + 1 } else { 0 }),
+            states: Vec::with_capacity(units),
+            scoped: Vec::new(),
+            polled: Vec::new(),
+            requery: Vec::new(),
+            sparse,
+            locked: !sparse,
+        }
+    }
+
+    /// Track `units` units (new ones start unarmed).
+    fn grow(&mut self, units: usize) {
+        self.states.resize(units, HintState::NEW);
+    }
+
+    /// Install `hint` for unit `idx` looking from `after`: bump its epoch
+    /// (superseding any live entry), push the new entry and update the
+    /// scope flags. Returns the due slot of the installed entry — `None`
+    /// for an unconditional silence promise, or when the answer locks the
+    /// run to dense polling.
+    fn arm<T: Tracer + ?Sized>(
+        &mut self,
+        hint: TxHint,
+        idx: usize,
+        after: Slot,
+        trace: &mut TraceCtx<'_, T>,
+    ) -> Option<Slot> {
+        let Some((entry, now_scoped)) = claim(hint, after) else {
+            self.lock(after, trace);
+            return None;
+        };
+        let st = self.states.get_mut(idx)?;
+        st.epoch += 1;
+        if now_scoped && !st.success_scoped {
+            self.scoped.push(idx);
+        }
+        st.success_scoped = now_scoped;
+        let (due, slot) = entry?;
+        st.due = due;
+        self.heap.push(Reverse((slot, idx, st.epoch)));
+        Some(slot)
+    }
+
+    /// Supersede unit `idx`'s hint without installing a new one.
+    fn supersede(&mut self, idx: usize) {
+        if let Some(st) = self.states.get_mut(idx) {
+            st.epoch += 1;
+            st.success_scoped = false;
+        }
+    }
+
+    /// Lock the run to dense polling for good: a unit answered
+    /// [`TxHint::Dense`] or a malformed scope, or the word kernel cannot
+    /// plan for it. Leaving the sparse path is evented as a mode switch
+    /// (not counted in [`Outcome::mode_switches`]: the lock is permanent).
+    fn lock<T: Tracer + ?Sized>(&mut self, slot: Slot, trace: &mut TraceCtx<'_, T>) {
+        if self.sparse {
+            trace.engine_event(TraceEvent::ModeSwitch { slot, dense: true });
+        }
+        self.sparse = false;
+        self.locked = true;
+        self.heap.clear();
+    }
+
+    /// Discard the heap and success-scope bookkeeping (dropping into a
+    /// dense burst window, or before a re-probe rebuilds both).
+    fn clear(&mut self) {
+        self.heap.clear();
+        for st in self.states.iter_mut() {
+            st.success_scoped = false;
+        }
+        self.scoped.clear();
+    }
+
+    /// The earliest live due slot, dropping stale entries on the way.
+    fn next_due(&mut self) -> Option<Slot> {
+        while let Some(&Reverse((slot, idx, epoch))) = self.heap.peek() {
+            if self.states.get(idx).is_some_and(|st| st.epoch == epoch) {
+                return Some(slot);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// The next slot the sparse path must land on: the earliest live due
+    /// entry, arrival, or churn event (crash and re-wake slots are
+    /// processed at the loop top, so they must never be skipped over).
+    fn next_event(&mut self, arrival: Option<Slot>, churn: Option<Slot>) -> Option<Slot> {
+        [self.next_due(), arrival, churn]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Pop the live entries due at `t`: polls join `polled`, scope
+    /// boundaries replace `requery`.
+    fn take_due(&mut self, t: Slot) {
+        self.requery.clear();
+        while let Some(&Reverse((slot, idx, epoch))) = self.heap.peek() {
+            if slot != t {
+                break;
+            }
+            self.heap.pop();
+            match self.states.get(idx) {
+                Some(st) if st.epoch == epoch => match st.due {
+                    Due::Poll => self.polled.push(idx),
+                    Due::Requery => self.requery.push(idx),
+                },
+                _ => {} // stale entry
+            }
+        }
+    }
+
+    /// Queue the re-queries an event owes from the next slot: the polled
+    /// units (their entries were consumed), units `born` by splits, and —
+    /// after a success, which voids them — every
+    /// [`Until::NextSuccess`]-scoped hint.
+    fn queue_requery(&mut self, success: bool, born: Range<usize>) {
+        self.requery.clear();
+        if success {
+            for idx in self.scoped.drain(..) {
+                if let Some(st) = self.states.get_mut(idx) {
+                    if st.success_scoped {
+                        st.success_scoped = false;
+                        self.requery.push(idx);
+                    }
+                }
+            }
+        }
+        self.requery.extend(self.polled.iter().copied());
+        self.requery.extend(born);
+        if success {
+            self.requery.sort_unstable();
+            self.requery.dedup();
+        }
+    }
+
+    /// Re-arm every queued unit from `after` (one traced re-query event),
+    /// stopping at a lock. Returns the hint queries made.
+    fn rearm<S: Units, T: Tracer + ?Sized>(
+        &mut self,
+        units: &mut S,
+        after: Slot,
+        trace: &mut TraceCtx<'_, T>,
+    ) -> u64 {
+        trace.engine_event(TraceEvent::HintRequery {
+            slot: after,
+            queries: self.requery.len() as u64,
+        });
+        let requery = std::mem::take(&mut self.requery);
+        let mut queries = 0;
+        for &idx in &requery {
+            queries += 1;
+            self.arm(units.hint(idx, after), idx, after, trace);
+            if self.locked {
+                break;
+            }
+        }
+        self.requery = requery;
+        queries
     }
 }
 
@@ -448,19 +773,6 @@ enum WordMemo {
     Hint { next: Option<Slot>, until: Until },
 }
 
-/// Result of one class-engine attempt under a live-unit budget (see
-/// [`SimConfig::split_budget`]).
-enum ClassRun {
-    /// The attempt ran to completion (boxed: the variant would otherwise
-    /// dwarf `BudgetExceeded`).
-    Done(Box<Outcome>),
-    /// Live units crossed the budget — or a churn crash hit a class that
-    /// does not support member removal
-    /// ([`MemberRemoval::Unsupported`]): abandon the attempt and re-run
-    /// the pattern on the concrete engine, which handles churn natively.
-    BudgetExceeded,
-}
-
 /// The low `width` bits set (`width ≥ 64` saturates to all ones).
 #[inline]
 fn low_mask(width: u64) -> u64 {
@@ -469,264 +781,6 @@ fn low_mask(width: u64) -> u64 {
     } else {
         (1u64 << width) - 1
     }
-}
-
-/// Constants of the adaptive [`EngineMode::Auto`] policy. The defaults are
-/// hand-tuned for a typical x86 box; [`PolicyParams::calibrated`] measures
-/// them against a concrete protocol on the machine actually running the
-/// sweep. Outcomes never depend on these — they steer only *which path*
-/// simulates each slot, so miscalibration costs time, not correctness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PolicyParams {
-    /// Cost of one [`Station::next_transmission`] query relative to one
-    /// [`Station::act`] poll. Hint queries scan schedules (PRF gap jumps,
-    /// position walks) and are typically several times the cost of a poll.
-    pub hint_cost: u64,
-    /// What one dense-stepped slot costs per awake station in the same
-    /// units: one poll plus one feedback delivery.
-    pub dense_slot_cost: u64,
-    /// The policy evaluates the skip yield every time this much sparse work
-    /// (polls + weighted hint queries) has accumulated since the window
-    /// start.
-    pub eval_cost: u64,
-    /// Minimum skippable gap (in slots) a re-probe must see ahead to resume
-    /// the sparse path; anything closer and the heap would be churning
-    /// again within a few slots. Also the wake-time burst test: a batch
-    /// arrival whose earliest obligation is due within this gap has nothing
-    /// to skip.
-    pub resume_gap: u64,
-    /// Minimum dense burst-window length in slots — long enough to amortize
-    /// the k hint queries a re-probe costs.
-    pub burst_floor: u64,
-    /// Scalar-dense slots a burst window must survive before the word
-    /// kernel takes over ([`EngineMode::Auto`] only). Bursts that resolve
-    /// within a handful of slots — the no-skip adversarial shape — never
-    /// pay for a tile fill they cannot amortize; bursts that outlive the
-    /// warmup switch to word-level stepping for the remainder of the
-    /// window. [`EngineMode::Bitslab`] ignores this and always runs the
-    /// kernel.
-    pub kernel_warmup: u64,
-}
-
-impl Default for PolicyParams {
-    fn default() -> Self {
-        PolicyParams {
-            hint_cost: 3,
-            dense_slot_cost: 2,
-            eval_cost: 64,
-            resume_gap: 4,
-            burst_floor: 64,
-            kernel_warmup: 16,
-        }
-    }
-}
-
-impl PolicyParams {
-    /// Measure the policy constants against `protocol` on this machine: a
-    /// few hundred timed [`Station::act`] polls and
-    /// [`Station::next_transmission`] queries on scratch stations (the
-    /// "first few hundred events" of a sweep, executed up front so every
-    /// run of the ensemble shares one deterministic parameter set). The
-    /// measured hint/poll cost ratio replaces the hand-tuned
-    /// [`hint_cost`](PolicyParams::hint_cost), and the evaluation cadence
-    /// and burst floor scale with it. All ratios are clamped to sane
-    /// ranges; degenerate measurements (e.g. a resolution-starved clock)
-    /// fall back to the defaults. Calibration never changes outcomes —
-    /// only the adaptive schedule, hence the work counters.
-    pub fn calibrated(protocol: &dyn Protocol, n: u32) -> PolicyParams {
-        use std::hint::black_box;
-        use std::time::Instant;
-
-        const ROUNDS: u64 = 256;
-        let ids = (0..8u32.min(n.max(1))).map(StationId).collect::<Vec<_>>();
-
-        // Poll cost: act() across the first few hundred slots.
-        let mut stations: Vec<_> = ids
-            .iter()
-            .map(|&id| protocol.station(id, derive_seed(0xCA11_B8A7E, u64::from(id.0))))
-            .collect();
-        for st in stations.iter_mut() {
-            st.wake(0);
-        }
-        // lint: allow(wall-clock) — calibration probe measures real act() cost; result steers mode choice, never transcripts
-        let start = Instant::now();
-        for t in 0..ROUNDS {
-            for st in stations.iter_mut() {
-                black_box(st.act(t));
-            }
-        }
-        let act_ns = start.elapsed().as_nanos().max(1) as u64;
-
-        // Hint cost: next_transmission() at non-decreasing slots on fresh
-        // stations (the scratch stations above already consumed act calls).
-        let mut stations: Vec<_> = ids
-            .iter()
-            .map(|&id| protocol.station(id, derive_seed(0xCA11_B8A7E, u64::from(id.0))))
-            .collect();
-        for st in stations.iter_mut() {
-            st.wake(0);
-        }
-        // lint: allow(wall-clock) — calibration probe measures real next_transmission() cost; never transcripts
-        let start = Instant::now();
-        for t in 0..ROUNDS {
-            for st in stations.iter_mut() {
-                black_box(st.next_transmission(t));
-            }
-        }
-        let hint_ns = start.elapsed().as_nanos() as u64;
-
-        if act_ns < 100 || hint_ns < 100 {
-            return PolicyParams::default(); // clock resolution too coarse
-        }
-        let hint_cost = hint_ns.div_ceil(act_ns).clamp(1, 16);
-        PolicyParams {
-            hint_cost,
-            // One poll plus one feedback delivery per station per slot.
-            dense_slot_cost: 2,
-            // Keep the default's cadence of ~21 polls' worth of work per
-            // hint-cost unit, re-expressed in measured units.
-            eval_cost: (21 * hint_cost).clamp(32, 512),
-            resume_gap: 4,
-            // A burst must outlast ~16 hint queries' worth of slots for the
-            // re-probe to amortize.
-            burst_floor: (16 * hint_cost).clamp(32, 256),
-            kernel_warmup: 16,
-        }
-    }
-}
-
-/// The adaptive sparse↔dense policy of [`EngineMode::Auto`]: a sliding cost
-/// window over the sparse path's work, compared against what dense stepping
-/// would have cost over the same simulated slots.
-#[derive(Clone, Copy, Debug)]
-struct Adaptive {
-    /// The policy constants ([`SimConfig::policy`]).
-    p: PolicyParams,
-    /// Sparse work (polls + `hint_cost`·hint queries) since the window
-    /// started.
-    win_cost: u64,
-    /// `slots_simulated` at the window start.
-    win_start: u64,
-    /// Current dense burst-window length in slots (doubled while re-probes
-    /// keep failing, reset when a probe finds a skippable gap).
-    burst_len: u64,
-    /// Slots left in the active burst window (meaningful in dense stepping).
-    burst_remaining: u64,
-}
-
-impl Adaptive {
-    fn new(p: PolicyParams) -> Self {
-        Adaptive {
-            p,
-            win_cost: 0,
-            win_start: 0,
-            burst_len: 0,
-            burst_remaining: 0,
-        }
-    }
-
-    /// Evaluate the window: `true` iff the sparse path has done more work
-    /// over the window than dense stepping would have
-    /// (`dense_slot_cost · awake` per slot) — time to drop into a burst
-    /// window. A window that passes the yield test resets so old gaps
-    /// cannot subsidize a later burst forever.
-    fn should_burst(&mut self, slots_now: u64, awake: usize) -> bool {
-        if self.win_cost < self.p.eval_cost {
-            return false;
-        }
-        let win_slots = (slots_now - self.win_start).max(1);
-        if self.win_cost > self.p.dense_slot_cost * awake as u64 * win_slots {
-            true
-        } else {
-            self.win_cost = 0;
-            self.win_start = slots_now;
-            false
-        }
-    }
-
-    /// Start (or restart) a dense burst window sized to the floor: long
-    /// enough to amortize the k hint queries a re-probe costs.
-    fn start_burst(&mut self, awake: usize) {
-        self.burst_len = (4 * awake as u64).max(self.p.burst_floor);
-        self.burst_remaining = self.burst_len;
-    }
-
-    /// A re-probe failed (no skippable gap ahead): stay dense for a doubled
-    /// window, capped so sparsity is still re-tested periodically.
-    fn backoff(&mut self, awake: usize) {
-        let cap = (64 * awake as u64).max(64 * self.p.burst_floor);
-        self.burst_len = (self.burst_len * 2).clamp(self.p.burst_floor, cap);
-        self.burst_remaining = self.burst_len;
-    }
-
-    /// Has the active burst window survived its scalar warmup? The word
-    /// kernel only takes over once `kernel_warmup` slots of the window have
-    /// been dense-stepped — a burst that resolves faster never pays for a
-    /// tile fill it cannot amortize.
-    fn kernel_warm(&self) -> bool {
-        self.burst_len.saturating_sub(self.burst_remaining) >= self.p.kernel_warmup
-    }
-
-    /// A re-probe succeeded: back to the sparse path with a fresh window.
-    fn resume_sparse(&mut self, slots_now: u64) {
-        self.win_cost = 0;
-        self.win_start = slots_now;
-        self.burst_len = 0;
-        self.burst_remaining = 0;
-    }
-}
-
-/// Install a fresh [`TxHint`] for unit `idx` looking from `after`: bump the
-/// hint epoch (superseding any live heap entry), push the new heap entry
-/// and update scope flags. Shared by the concrete and class engines — the
-/// scope semantics are identical; only the hint's *source* (a station or a
-/// whole class) differs. Returns the due slot of the installed entry
-/// (`None` for an unconditional silence promise), or `Err(())` when the
-/// answer ([`TxHint::Dense`] or a malformed scope boundary) forces the
-/// dense path.
-fn install_hint(
-    hint: TxHint,
-    idx: usize,
-    after: Slot,
-    heap: &mut BinaryHeap<Reverse<(Slot, usize, u64)>>,
-    states: &mut [HintState],
-    scoped: &mut Vec<usize>,
-) -> Result<Option<Slot>, ()> {
-    let st = &mut states[idx];
-    st.epoch += 1; // supersede any live heap entry
-    let was_scoped = st.success_scoped;
-    let (entry, now_scoped) = match hint {
-        TxHint::Dense => return Err(()),
-        TxHint::At(slot, until) => {
-            let slot = slot.max(after);
-            match until {
-                Until::Forever => (Some((Due::Poll, slot)), false),
-                Until::NextSuccess => (Some((Due::Poll, slot)), true),
-                // A validity boundary at or before `after` carries no
-                // silence claim at all: fall back to dense rather than
-                // trust it (correctness first).
-                Until::Slot(tb) if tb <= after => return Err(()),
-                Until::Slot(tb) if slot < tb => (Some((Due::Poll, slot)), false),
-                Until::Slot(tb) => (Some((Due::Requery, tb)), false),
-            }
-        }
-        TxHint::Never(until) => match until {
-            Until::Forever => (None, false),
-            Until::NextSuccess => (None, true),
-            Until::Slot(tb) if tb <= after => return Err(()),
-            Until::Slot(tb) => (Some((Due::Requery, tb)), false),
-        },
-    };
-    st.success_scoped = now_scoped;
-    if now_scoped && !was_scoped {
-        scoped.push(idx);
-    }
-    let due_slot = entry.map(|(_, slot)| slot);
-    if let Some((due, slot)) = entry {
-        st.due = due;
-        heap.push(Reverse((slot, idx, st.epoch)));
-    }
-    Ok(due_slot)
 }
 
 /// Engine-side trace emission helper, generic over the tracer so the
@@ -903,20 +957,948 @@ fn apply_channel<T: Tracer + ?Sized>(
     effective
 }
 
-/// Resolve one slot from the tally: exact IDs in the collecting regime
-/// (identical to the concrete engine's [`SlotOutcome::resolve`]), weighted
-/// counts otherwise (collision IDs are not materialized — O(1) memory at
-/// mega scale; the sole transmitter of a success always carries its ID).
+/// Resolve one slot from the tally: exact IDs in the collecting regime,
+/// weighted counts otherwise (collision IDs are not materialized — O(1)
+/// memory at mega scale; the sole transmitter of a success always carries
+/// its ID).
 fn slot_outcome(tally: &mut TxTally) -> SlotOutcome {
     if tally.collect_ids() {
-        SlotOutcome::resolve(tally.sorted_ids().to_vec())
-    } else {
-        match tally.total() {
-            0 => SlotOutcome::Silence,
-            1 => SlotOutcome::Success(tally.winner().expect("sole transmitter carries its ID")),
-            _ => SlotOutcome::Collision(Vec::new()),
+        return SlotOutcome::resolve(tally.sorted_ids().to_vec());
+    }
+    match (tally.total(), tally.winner()) {
+        (0, _) => SlotOutcome::Silence,
+        (_, Some(w)) => SlotOutcome::Success(w),
+        _ => SlotOutcome::Collision(Vec::new()),
+    }
+}
+
+/// Churn fates of the pattern's stations, materialized up front — a pure
+/// function of `(run_seed, id, wake)`, so every path and store processes
+/// the same crash and re-wake events at exactly their slots — with the
+/// loop's cursors into them.
+struct Churn {
+    crashes: Vec<(Slot, StationId)>,
+    rewakes: Vec<(Slot, StationId)>,
+    next_crash: usize,
+    next_rewake: usize,
+    /// Seed stream of re-woken instances (the old state died with the
+    /// crash).
+    rewake_seed: u64,
+}
+
+impl Churn {
+    fn new(
+        script: &ChurnScript,
+        run_seed: u64,
+        wakes: impl Iterator<Item = (StationId, Slot)>,
+    ) -> Self {
+        let mut crashes = Vec::new();
+        let mut rewakes = Vec::new();
+        if !script.is_empty() {
+            for (id, sigma) in wakes {
+                if let Some((crash, rewake)) = script.fate(run_seed, id, sigma) {
+                    crashes.push((crash, id));
+                    if let Some(r) = rewake {
+                        rewakes.push((r, id));
+                    }
+                }
+            }
+            crashes.sort_unstable();
+            rewakes.sort_unstable();
+        }
+        Churn {
+            crashes,
+            rewakes,
+            next_crash: 0,
+            next_rewake: 0,
+            rewake_seed: derive_seed(run_seed, REWAKE_STREAM),
         }
     }
+
+    /// Take the next crash due at or before `t`.
+    fn crash_due(&mut self, t: Slot) -> Option<(Slot, StationId)> {
+        let &(slot, id) = self.crashes.get(self.next_crash).filter(|c| c.0 <= t)?;
+        self.next_crash += 1;
+        Some((slot, id))
+    }
+
+    /// Take the next re-wake due at or before `t`.
+    fn rewake_due(&mut self, t: Slot) -> Option<(Slot, StationId)> {
+        let &(slot, id) = self.rewakes.get(self.next_rewake).filter(|r| r.0 <= t)?;
+        self.next_rewake += 1;
+        Some((slot, id))
+    }
+
+    /// The next pending churn slot.
+    fn next_event(&self) -> Option<Slot> {
+        let crash = self.crashes.get(self.next_crash).map(|c| c.0);
+        let rewake = self.rewakes.get(self.next_rewake).map(|r| r.0);
+        crash.into_iter().chain(rewake).min()
+    }
+}
+
+/// Run-wide bookkeeping shared by every slot evaluator: the outcome under
+/// construction (counters, transcript, resolution, faults), the churn
+/// schedule, and the trace. [`settle`](RunState::settle) is the one place
+/// a materialized slot is resolved.
+struct RunState<'a, T: Tracer + ?Sized> {
+    cfg: &'a SimConfig,
+    trace: TraceCtx<'a, T>,
+    out: Outcome,
+    churn: Churn,
+    /// Channel-fault draws are keyed by `(fault_seed, slot)`, so every
+    /// path that materializes the same busy slots perturbs them alike.
+    fault_seed: u64,
+    /// False collisions can fire (a nonzero rate, heard under collision
+    /// detection).
+    mishear_armed: bool,
+    total_stations: usize,
+    /// Trace watermarks (advanced only when a tracer wants them).
+    wm_heap: u64,
+    wm_units: u64,
+}
+
+impl<'a, T: Tracer + ?Sized> RunState<'a, T> {
+    fn new<S: Units>(
+        cfg: &'a SimConfig,
+        pattern: &WakePattern,
+        run_seed: u64,
+        units: &S,
+        tracer: &'a mut T,
+    ) -> Self {
+        RunState {
+            cfg,
+            trace: TraceCtx::new(tracer),
+            out: Outcome {
+                s: pattern.s(),
+                transcript: cfg.record_transcript.then(Transcript::new),
+                ..Outcome::default()
+            },
+            churn: Churn::new(&cfg.churn, run_seed, units.wakes()),
+            fault_seed: derive_seed(run_seed, FAULT_STREAM),
+            mishear_armed: cfg.channel.false_collision_ppm > 0
+                && cfg.feedback == FeedbackModel::CollisionDetection,
+            total_stations: pattern.k(),
+            wm_heap: 0,
+            wm_units: 0,
+        }
+    }
+
+    /// Settle one materialized slot from its transmitter tally: resolve
+    /// it, apply channel faults and the false-collision mishear, record the
+    /// transcript, counters and trace. Returns the feedback every unit
+    /// perceives (feedback is uniform across stations) and, for a heard
+    /// success, the winner.
+    fn settle(&mut self, slot: Slot, tally: &mut TxTally) -> (Feedback, Option<StationId>) {
+        let contenders = tally.total();
+        let outcome = apply_channel(
+            &self.cfg.channel,
+            self.fault_seed,
+            slot,
+            slot_outcome(tally),
+            &mut self.out.faults,
+            &mut self.trace,
+        );
+        let mishear = self.mishear_armed
+            && outcome == SlotOutcome::Silence
+            && self.cfg.channel.mishears_silence(self.fault_seed, slot);
+        if mishear {
+            self.out.faults.false_collisions += 1;
+        }
+        if let Some(tr) = self.out.transcript.as_mut() {
+            tr.push(SlotRecord {
+                slot,
+                transmitters: tally.sorted_ids().to_vec(),
+                outcome: outcome.clone(),
+            });
+        }
+        self.out.transmissions += contenders;
+        self.out.slots_simulated += 1;
+        let winner = match &outcome {
+            SlotOutcome::Success(w) => {
+                let w = *w;
+                self.trace.success(slot, w);
+                if self.out.first_success.is_none() {
+                    self.out.first_success = Some(slot);
+                    self.out.winner = Some(w);
+                }
+                if !self.out.resolved.iter().any(|&(id, _)| id == w) {
+                    self.out.resolved.push((w, slot));
+                }
+                Some(w)
+            }
+            SlotOutcome::Collision(_) => {
+                self.out.collisions += 1;
+                self.trace.collision(slot, contenders);
+                None
+            }
+            SlotOutcome::Silence => {
+                self.out.silent_slots += 1;
+                self.trace.silence(slot, 1);
+                None
+            }
+        };
+        let fb = if mishear {
+            Feedback::Noise
+        } else {
+            self.cfg.feedback.perceive(&outcome, false)
+        };
+        (fb, winner)
+    }
+
+    /// Account `count` provably silent slots from `from` without polling
+    /// anyone (they still count as simulated silence).
+    fn silence(&mut self, from: Slot, count: u64) {
+        if let Some(tr) = self.out.transcript.as_mut() {
+            for slot in from..from + count {
+                tr.push(SlotRecord {
+                    slot,
+                    transmitters: Vec::new(),
+                    outcome: SlotOutcome::Silence,
+                });
+            }
+        }
+        self.trace.silence(from, count);
+        self.out.slots_simulated += count;
+        self.out.silent_slots += count;
+    }
+
+    /// Under [`StopRule::AllResolved`], after a success at `slot`: `true`
+    /// (recording the resolution slot) once every pattern station has
+    /// succeeded and nobody is left to wake.
+    fn all_resolved(&mut self, slot: Slot, arrivals_done: bool) -> bool {
+        let done = arrivals_done && self.out.resolved.len() == self.total_stations;
+        if done {
+            self.out.all_resolved_at = Some(slot);
+        }
+        done
+    }
+
+    /// Drop from the sparse path into a dense burst window at `slot`: the
+    /// heap and scope bookkeeping are discarded (a later re-probe rebuilds
+    /// both from fresh hints).
+    fn open_burst(
+        &mut self,
+        hints: &mut HintIndex,
+        policy: &mut Adaptive,
+        awake: usize,
+        slot: Slot,
+    ) {
+        hints.sparse = false;
+        hints.clear();
+        policy.start_burst(awake);
+        self.out.mode_switches += 1;
+        self.trace
+            .engine_event(TraceEvent::ModeSwitch { slot, dense: true });
+        self.trace.engine_event(TraceEvent::BurstOpen {
+            slot,
+            window: policy.burst_len,
+        });
+    }
+
+    /// Track the live-unit peak and, when traced, the heap/unit watermarks.
+    fn watermark(&mut self, slot: Slot, heap: usize, units: usize) {
+        self.out.peak_units = self.out.peak_units.max(units as u64);
+        if self.trace.wants(TraceKind::Watermark) {
+            let (h, u) = (heap as u64, units as u64);
+            if h > self.wm_heap || u > self.wm_units {
+                self.wm_heap = self.wm_heap.max(h);
+                self.wm_units = self.wm_units.max(u);
+                self.trace.engine_event(TraceEvent::Watermark {
+                    slot,
+                    heap: self.wm_heap,
+                    units: self.wm_units,
+                });
+            }
+        }
+    }
+}
+
+/// Why a class run was abandoned for a concrete re-run: its live units
+/// crossed the split budget, or a churn crash hit a class that cannot
+/// remove members ([`MemberRemoval::Unsupported`]).
+struct Abandoned;
+
+/// How a word tile ended.
+enum Tile {
+    /// Resolved `[t, end)`; `success` iff a success closed the tile.
+    Ran { end: Slot, success: bool },
+    /// The run ended inside the tile.
+    Stop,
+    /// Some station cannot be planned for: scalar dense from here on.
+    Unplannable,
+}
+
+/// The unit-store seam of the event loop: how woken stations become the
+/// units it polls. Two statically dispatched stores — [`StationUnits`]
+/// and [`ClassUnits`] — share one loop; every unit is addressed by its
+/// index, which stays stable for the whole run.
+trait Units {
+    /// Run the adaptive burst policy (concrete stations only: class runs
+    /// keep the plain sparse/dense discipline).
+    const ADAPTIVE: bool;
+    /// Why a run may be abandoned ([`Infallible`] when it never is).
+    type Abandon;
+    /// Live units (crashed and emptied units stay as inert placeholders).
+    fn len(&self) -> usize;
+    /// Units the run is expected to hold, to pre-size per-unit state (0
+    /// when unknown up front).
+    fn expected_units(&self) -> usize;
+    /// Every `(station, wake slot)` of the pattern (asked before the first
+    /// admission).
+    fn wakes(&self) -> impl Iterator<Item = (StationId, Slot)> + '_;
+    /// The next wake slot not yet admitted.
+    fn next_arrival(&self) -> Option<Slot>;
+    /// Per-station detail needs the slot tally's transmitter IDs.
+    fn collects_ids(&self) -> bool;
+    /// Admit (and wake) every station due at or before `t`; returns how
+    /// many stations woke.
+    fn admit(&mut self, protocol: &dyn Protocol, t: Slot, run_seed: u64) -> u64;
+    /// Admit a fresh instance of crashed station `id`, waking at `slot`.
+    fn rewake(&mut self, protocol: &dyn Protocol, id: StationId, slot: Slot, seed: u64);
+    /// Crash station `id`: returns the unit whose schedule changed, if any.
+    fn crash(&mut self, id: StationId) -> Result<Option<usize>, Self::Abandon>;
+    /// Unit `idx`'s hint looking from `after`.
+    fn hint(&mut self, idx: usize, after: Slot) -> TxHint;
+    /// Poll unit `idx` at `t`, recording its transmitters into `tally`.
+    fn act(&mut self, idx: usize, t: Slot, tally: &mut TxTally);
+    /// Poll every unit at `t`; returns the polls made.
+    fn act_all(&mut self, t: Slot, tally: &mut TxTally) -> u64;
+    /// Deliver slot `t`'s feedback to unit `idx`.
+    fn feedback(&mut self, idx: usize, t: Slot, fb: Feedback);
+    /// Deliver slot `t`'s feedback to every unit.
+    fn feedback_all(&mut self, t: Slot, fb: Feedback);
+    /// Append the units split off by feedback since the last call; returns
+    /// how many were born.
+    fn adopt_splits(&mut self) -> usize;
+    /// Abandon the run once the live units cross the split budget.
+    fn within_budget(&self) -> Result<(), Self::Abandon>;
+    /// Credit a settled slot's transmitters to their per-station counts.
+    fn credit(&mut self, tally: &mut TxTally);
+    /// Per-station transmission counts in wake order (empty without
+    /// per-station detail).
+    fn into_per_station_tx(self) -> Vec<(StationId, u64)>;
+    /// Resolve one word tile from `t`, never past `limit` (`None`: step a
+    /// scalar dense slot instead).
+    fn word_tile<T: Tracer + ?Sized>(
+        &mut self,
+        t: Slot,
+        limit: Slot,
+        rs: &mut RunState<'_, T>,
+        tally: &mut TxTally,
+    ) -> Option<Tile> {
+        let _ = (t, limit, rs, tally);
+        None
+    }
+}
+
+/// The concrete store: one boxed [`Station`] per woken station with its
+/// transmission count, plus the word kernel's state. Block patterns are
+/// materialized up front (O(k) — the documented cost of running a mega
+/// pattern concretely).
+struct StationUnits<'p> {
+    wakes: Cow<'p, [(StationId, Slot)]>,
+    next_wake: usize,
+    units: Vec<(StationId, Box<dyn Station>, u64)>,
+    detail: bool,
+    /// Some crashed station re-woke: IDs repeat in `units`.
+    rewoken: bool,
+    word: WordKernel,
+}
+
+/// Word-kernel state: per-station claim memos reusable across consecutive
+/// tiles, per-tile fill plumbing, and the tile-width ramp.
+struct WordKernel {
+    /// A station the kernel cannot plan for answered: scalar dense stepping
+    /// from here on, like the sparse path's permanent lock.
+    dead: bool,
+    memos: Vec<WordMemo>,
+    generic: Vec<bool>,
+    cols: Vec<u64>,
+    blocks: Vec<[u64; 64]>,
+    tx_idx: Vec<usize>,
+    /// Where the last tile ended: memos are coherent only for a tile that
+    /// starts exactly there (no sparse interlude, no re-probe).
+    cont: Slot,
+    ramp: u64,
+}
+
+impl<'p> StationUnits<'p> {
+    fn new(pattern: &'p WakePattern, detail: bool) -> Self {
+        StationUnits {
+            wakes: pattern.materialize(),
+            next_wake: 0,
+            units: Vec::new(),
+            detail,
+            rewoken: false,
+            word: WordKernel {
+                dead: false,
+                memos: Vec::new(),
+                generic: Vec::new(),
+                cols: Vec::new(),
+                blocks: Vec::new(),
+                tx_idx: Vec::new(),
+                cont: Slot::MAX,
+                ramp: WORD_RAMP_SEED,
+            },
+        }
+    }
+
+    /// The word kernel: transmit bits of every station for up to 64 slots
+    /// are gathered as per-station columns, transposed into per-slot words,
+    /// and each slot resolves from a popcount — materializing feedback and
+    /// trace only on real channel events.
+    fn tile<T: Tracer + ?Sized>(
+        &mut self,
+        t: Slot,
+        limit: Slot,
+        rs: &mut RunState<'_, T>,
+        tally: &mut TxTally,
+    ) -> Tile {
+        let arrivals_done = self.next_wake == self.wakes.len();
+        let units = &mut self.units;
+        let w = &mut self.word;
+        w.ramp = if w.cont == t {
+            (w.ramp * 2).min(64)
+        } else {
+            WORD_RAMP_SEED
+        };
+        let mut tile_h = (t + w.ramp).min(limit);
+        if w.cont != t {
+            w.memos.clear();
+        }
+        w.memos.resize(units.len(), WordMemo::Stale);
+        w.generic.clear();
+        w.generic.resize(units.len(), false);
+        w.cols.clear();
+        w.cols.resize(units.len(), 0);
+
+        // Fill one column of transmit bits per station. Each claim is
+        // scoped per the TxHint obligations, and `tile_h` shrinks to the
+        // first slot not covered by some station's claim — one query per
+        // station per tile, never a lookahead (the `after` arguments of
+        // `next_transmission` must stay non-decreasing even if a mid-tile
+        // success re-probes).
+        let columns = w.cols.iter_mut().zip(w.generic.iter_mut());
+        for (((_, station, _), memo), (col, generic)) in
+            units.iter_mut().zip(w.memos.iter_mut()).zip(columns)
+        {
+            // A still-valid claim from a previous tile?
+            let mut claim = match *memo {
+                WordMemo::Hint { next, until } => {
+                    let live = match until {
+                        Until::Forever | Until::NextSuccess => true,
+                        Until::Slot(tb) => t < tb,
+                    };
+                    debug_assert!(
+                        next.is_none_or(|p| p >= t),
+                        "stale word memo: next={next:?} at tile base {t}"
+                    );
+                    live.then_some((next, until))
+                }
+                WordMemo::Stale => None,
+            };
+            if claim.is_none() {
+                // Protocol-level batch fill first…
+                if let Some(fill) = station.fill_tx_word(t, (tile_h - t) as u32) {
+                    let (mask, horizon) = match fill.until {
+                        Until::Slot(tb) if tb <= t => {
+                            w.dead = true;
+                            return Tile::Unplannable;
+                        }
+                        Until::Slot(tb) => (low_mask(tb - t), tb),
+                        Until::Forever | Until::NextSuccess => (u64::MAX, t + 64),
+                    };
+                    *col = fill.bits & mask;
+                    tile_h = tile_h.min(horizon);
+                    continue;
+                }
+                // …generic per-station fill from the hint protocol.
+                claim = match station.next_transmission(t) {
+                    TxHint::At(p, until) => match until {
+                        Until::Slot(tb) if tb <= t => None,
+                        // Scope boundary before the claimed transmission:
+                        // only the silence up to `tb` is usable.
+                        Until::Slot(tb) if p.max(t) >= tb => Some((None, until)),
+                        _ => Some((Some(p.max(t)), until)),
+                    },
+                    TxHint::Never(Until::Slot(tb)) if tb <= t => None,
+                    TxHint::Never(until) => Some((None, until)),
+                    TxHint::Dense => None,
+                };
+            }
+            let Some((next, until)) = claim else {
+                w.dead = true;
+                return Tile::Unplannable;
+            };
+            *generic = true;
+            *memo = WordMemo::Hint { next, until };
+            match next {
+                Some(p) => {
+                    if p - t < 64 {
+                        *col = 1u64 << (p - t);
+                    }
+                    // Nothing is claimed past the transmission.
+                    tile_h = tile_h.min(p + 1);
+                }
+                None => {
+                    if let Until::Slot(tb) = until {
+                        tile_h = tile_h.min(tb);
+                    }
+                }
+            }
+        }
+
+        let width = tile_h - t;
+        debug_assert!(0 < width && width <= 64, "tile width {width}");
+        let wmask = low_mask(width);
+        // Transpose station-major columns into slot-major rows: after
+        // transposing each 64-station block, word `j` of a block holds that
+        // block's transmit bits for slot t + j.
+        w.blocks.clear();
+        w.blocks.resize(units.len().div_ceil(64), [0u64; 64]);
+        for (blk, cols) in w.blocks.iter_mut().zip(w.cols.chunks(64)) {
+            for (row, &col) in blk.iter_mut().zip(cols) {
+                *row = col & wmask;
+            }
+            transpose64(blk);
+        }
+
+        let mut tile_end = tile_h;
+        let mut success = false;
+        let mut silent_from = t;
+        let mut silent_run = 0u64;
+        for slot in t..tile_h {
+            let j = (slot - t) as usize;
+            let row = |blk: &[u64; 64]| blk.get(j).copied().unwrap_or(0);
+            let busy: u32 = w.blocks.iter().map(|blk| row(blk).count_ones()).sum();
+            if busy == 0 {
+                if silent_run == 0 {
+                    silent_from = slot;
+                }
+                silent_run += 1;
+                continue;
+            }
+            // A real channel event: flush the silent prefix, then
+            // materialize exactly this slot.
+            if silent_run > 0 {
+                rs.silence(silent_from, silent_run);
+                rs.out.word_slots += silent_run;
+                silent_run = 0;
+            }
+            tally.clear();
+            w.tx_idx.clear();
+            for (b, blk) in w.blocks.iter().enumerate() {
+                let mut bits = row(blk);
+                while bits != 0 {
+                    w.tx_idx.push(b * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+            for &idx in &w.tx_idx {
+                let Some((id, station, tx)) = units.get_mut(idx) else {
+                    continue;
+                };
+                if w.generic.get(idx) == Some(&true) {
+                    // The generic fill promised a transmission here: give
+                    // the station its act() call (the sparse path's
+                    // lifecycle) and consume the claim.
+                    rs.out.polls += 1;
+                    let acted = station.act(slot).is_transmit();
+                    debug_assert!(acted, "hinted transmission at {slot} not acted on");
+                    let _ = acted;
+                    if let Some(memo) = w.memos.get_mut(idx) {
+                        *memo = WordMemo::Stale;
+                    }
+                }
+                tally.push(*id);
+                *tx += 1;
+            }
+            let (fb, winner) = rs.settle(slot, tally);
+            rs.out.word_slots += 1;
+            if winner.is_none() {
+                // Collision, or an erased success: feedback goes only to the
+                // transmitters (everyone else ignores it by scope).
+                for &idx in &w.tx_idx {
+                    if let Some((_, station, _)) = units.get_mut(idx) {
+                        station.feedback(slot, fb);
+                    }
+                }
+                continue;
+            }
+            if rs.cfg.stop == StopRule::FirstSuccess {
+                return Tile::Stop;
+            }
+            // AllResolved: the success is heard by the whole floor.
+            for (_, station, _) in units.iter_mut() {
+                station.feedback(slot, fb);
+            }
+            if rs.all_resolved(slot, arrivals_done) {
+                return Tile::Stop;
+            }
+            // The success voids every NextSuccess-scoped claim; close the
+            // tile so the next one refills from slot + 1.
+            for memo in w.memos.iter_mut() {
+                if let WordMemo::Hint {
+                    until: Until::NextSuccess,
+                    ..
+                } = memo
+                {
+                    *memo = WordMemo::Stale;
+                }
+            }
+            tile_end = slot + 1;
+            success = true;
+            break;
+        }
+        if silent_run > 0 {
+            rs.silence(silent_from, silent_run);
+            rs.out.word_slots += silent_run;
+        }
+        w.cont = tile_end;
+        Tile::Ran {
+            end: tile_end,
+            success,
+        }
+    }
+}
+
+impl Units for StationUnits<'_> {
+    const ADAPTIVE: bool = true;
+    type Abandon = Infallible;
+
+    fn len(&self) -> usize {
+        self.units.len()
+    }
+
+    fn expected_units(&self) -> usize {
+        self.wakes.len()
+    }
+
+    fn wakes(&self) -> impl Iterator<Item = (StationId, Slot)> + '_ {
+        self.wakes.iter().copied()
+    }
+
+    fn next_arrival(&self) -> Option<Slot> {
+        self.wakes.get(self.next_wake).map(|&(_, sigma)| sigma)
+    }
+
+    fn collects_ids(&self) -> bool {
+        false // transmissions are counted per station as they happen
+    }
+
+    fn admit(&mut self, protocol: &dyn Protocol, t: Slot, run_seed: u64) -> u64 {
+        let first = self.next_wake;
+        while let Some(&(id, sigma)) = self.wakes.get(self.next_wake).filter(|w| w.1 <= t) {
+            let mut station = protocol.station(id, derive_seed(run_seed, u64::from(id.0)));
+            station.wake(sigma);
+            self.units.push((id, station, 0));
+            self.next_wake += 1;
+        }
+        (self.next_wake - first) as u64
+    }
+
+    fn rewake(&mut self, protocol: &dyn Protocol, id: StationId, slot: Slot, seed: u64) {
+        let mut station = protocol.station(id, derive_seed(seed, u64::from(id.0)));
+        station.wake(slot);
+        self.units.push((id, station, 0));
+        self.rewoken = true;
+    }
+
+    fn crash(&mut self, id: StationId) -> Result<Option<usize>, Infallible> {
+        // The station is replaced by an inert listener (no dead-flag checks
+        // on the hot paths); `units` never shrinks, so indices stay stable.
+        let idx = self.units.iter().rposition(|(aid, _, _)| *aid == id);
+        if let Some(unit) = idx.and_then(|i| self.units.get_mut(i)) {
+            unit.1 = Box::new(NeverTransmit);
+        }
+        if let Some(memo) = idx.and_then(|i| self.word.memos.get_mut(i)) {
+            *memo = WordMemo::Stale;
+        }
+        Ok(idx)
+    }
+
+    fn hint(&mut self, idx: usize, after: Slot) -> TxHint {
+        self.units
+            .get_mut(idx)
+            .map_or(TxHint::Dense, |u| u.1.next_transmission(after))
+    }
+
+    fn act(&mut self, idx: usize, t: Slot, tally: &mut TxTally) {
+        if let Some((id, station, tx)) = self.units.get_mut(idx) {
+            if station.act(t).is_transmit() {
+                tally.push(*id);
+                *tx += 1;
+            }
+        }
+    }
+
+    fn act_all(&mut self, t: Slot, tally: &mut TxTally) -> u64 {
+        for (id, station, tx) in self.units.iter_mut() {
+            if station.act(t).is_transmit() {
+                tally.push(*id);
+                *tx += 1;
+            }
+        }
+        self.units.len() as u64
+    }
+
+    fn feedback(&mut self, idx: usize, t: Slot, fb: Feedback) {
+        if let Some((_, station, _)) = self.units.get_mut(idx) {
+            station.feedback(t, fb);
+        }
+    }
+
+    fn feedback_all(&mut self, t: Slot, fb: Feedback) {
+        for (_, station, _) in self.units.iter_mut() {
+            station.feedback(t, fb);
+        }
+    }
+
+    fn adopt_splits(&mut self) -> usize {
+        0
+    }
+
+    fn within_budget(&self) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn credit(&mut self, _tally: &mut TxTally) {}
+
+    fn into_per_station_tx(self) -> Vec<(StationId, u64)> {
+        if !self.detail {
+            return Vec::new();
+        }
+        if !self.rewoken {
+            return self.units.iter().map(|(id, _, tx)| (*id, *tx)).collect();
+        }
+        // Re-wakes duplicate IDs: merge each ID's counts into its first
+        // occurrence (wake order).
+        let mut merged: Vec<(StationId, u64)> = Vec::with_capacity(self.units.len());
+        for (id, _, tx) in self.units.iter() {
+            match merged.iter_mut().find(|(mid, _)| mid == id) {
+                Some((_, count)) => *count += *tx,
+                None => merged.push((*id, *tx)),
+            }
+        }
+        merged
+    }
+
+    fn word_tile<T: Tracer + ?Sized>(
+        &mut self,
+        t: Slot,
+        limit: Slot,
+        rs: &mut RunState<'_, T>,
+        tally: &mut TxTally,
+    ) -> Option<Tile> {
+        (!self.word.dead).then(|| self.tile(t, limit, rs, tally))
+    }
+}
+
+/// The class store: weighted [`ClassStation`]s — one per wake batch when
+/// the protocol has a class form ([`Protocol::class_station`]), one
+/// [`SingletonClass`] per station otherwise — that split lazily when
+/// feedback makes members diverge. Memory is O(live units).
+struct ClassUnits {
+    /// Wake batches not yet admitted, in slot order.
+    batches: std::vec::IntoIter<(Slot, Members)>,
+    units: Vec<Box<dyn ClassStation>>,
+    /// Units split off by feedback, adopted after the slot settles.
+    born: Vec<Box<dyn ClassStation>>,
+    /// Live-unit budget (see [`SimConfig::split_budget`]).
+    budget: u64,
+    detail: bool,
+    /// Per-station transmission counts in wake order (per-station detail
+    /// only — the table is O(k) by nature).
+    tx_counts: Vec<(StationId, u64)>,
+    // lint: allow(default-hash-state) — lookup-only index into the wake-ordered tx_counts vec; never iterated
+    tx_index: HashMap<StationId, usize>,
+}
+
+impl ClassUnits {
+    fn new(pattern: &WakePattern, budget: u64, detail: bool) -> Self {
+        ClassUnits {
+            batches: pattern.batches_by_slot().into_iter(),
+            units: Vec::new(),
+            born: Vec::new(),
+            budget,
+            detail,
+            tx_counts: Vec::new(),
+            tx_index: Default::default(),
+        }
+    }
+
+    /// Admit wake batch `members` as units woken at `sigma`: one class when
+    /// the protocol has a class form, one singleton per station otherwise.
+    fn admit_batch(&mut self, protocol: &dyn Protocol, members: &Members, seed: u64, sigma: Slot) {
+        if self.detail {
+            for id in members.iter() {
+                if !self.tx_index.contains_key(&id) {
+                    self.tx_index.insert(id, self.tx_counts.len());
+                    self.tx_counts.push((id, 0));
+                }
+            }
+        }
+        let first = self.units.len();
+        match protocol.class_station(members, seed) {
+            Some(class) => self.units.push(class),
+            None => self.units.extend(members.iter().map(|id| {
+                let station = protocol.station(id, derive_seed(seed, u64::from(id.0)));
+                Box::new(SingletonClass::new(id, station)) as Box<dyn ClassStation>
+            })),
+        }
+        for unit in self.units.iter_mut().skip(first) {
+            unit.wake(sigma);
+        }
+    }
+}
+
+impl Units for ClassUnits {
+    const ADAPTIVE: bool = false;
+    type Abandon = Abandoned;
+
+    fn len(&self) -> usize {
+        self.units.len()
+    }
+
+    fn expected_units(&self) -> usize {
+        0 // classes split lazily; a mega batch is a single unit
+    }
+
+    fn wakes(&self) -> impl Iterator<Item = (StationId, Slot)> + '_ {
+        self.batches
+            .as_slice()
+            .iter()
+            .flat_map(|(sigma, members)| members.iter().map(move |id| (id, *sigma)))
+    }
+
+    fn next_arrival(&self) -> Option<Slot> {
+        self.batches.as_slice().first().map(|&(sigma, _)| sigma)
+    }
+
+    fn collects_ids(&self) -> bool {
+        self.detail
+    }
+
+    fn admit(&mut self, protocol: &dyn Protocol, t: Slot, run_seed: u64) -> u64 {
+        let mut woken = 0;
+        while self.next_arrival().is_some_and(|sigma| sigma <= t) {
+            let Some((sigma, members)) = self.batches.next() else {
+                break;
+            };
+            woken += members.count();
+            self.admit_batch(protocol, &members, run_seed, sigma);
+        }
+        woken
+    }
+
+    fn rewake(&mut self, protocol: &dyn Protocol, id: StationId, slot: Slot, seed: u64) {
+        self.admit_batch(protocol, &Members::from_sorted_ids(&[id]), seed, slot);
+    }
+
+    fn crash(&mut self, id: StationId) -> Result<Option<usize>, Abandoned> {
+        // Classes that cannot remove members abandon the attempt wholesale
+        // (the concrete store handles churn natively). An emptied unit
+        // becomes an inert `DeadClass` so indices stay stable.
+        for (idx, unit) in self.units.iter_mut().enumerate() {
+            match unit.remove_member(id) {
+                MemberRemoval::NotMember => {}
+                MemberRemoval::Removed { emptied } => {
+                    if emptied {
+                        *unit = Box::new(DeadClass);
+                    }
+                    return Ok(Some(idx));
+                }
+                MemberRemoval::Unsupported => return Err(Abandoned),
+            }
+        }
+        Ok(None) // the member already retired out of its class
+    }
+
+    fn hint(&mut self, idx: usize, after: Slot) -> TxHint {
+        self.units
+            .get_mut(idx)
+            .map_or(TxHint::Dense, |u| u.next_transmission(after))
+    }
+
+    fn act(&mut self, idx: usize, t: Slot, tally: &mut TxTally) {
+        if let Some(unit) = self.units.get_mut(idx) {
+            unit.act(t, tally);
+        }
+    }
+
+    fn act_all(&mut self, t: Slot, tally: &mut TxTally) -> u64 {
+        for unit in self.units.iter_mut() {
+            unit.act(t, tally);
+        }
+        self.units.len() as u64
+    }
+
+    fn feedback(&mut self, idx: usize, t: Slot, fb: Feedback) {
+        if let Some(unit) = self.units.get_mut(idx) {
+            self.born.append(&mut unit.feedback(t, fb));
+        }
+    }
+
+    fn feedback_all(&mut self, t: Slot, fb: Feedback) {
+        for unit in self.units.iter_mut() {
+            self.born.append(&mut unit.feedback(t, fb));
+        }
+    }
+
+    fn adopt_splits(&mut self) -> usize {
+        let born = self.born.len();
+        self.units.append(&mut self.born);
+        born
+    }
+
+    fn within_budget(&self) -> Result<(), Abandoned> {
+        if self.units.len() as u64 > self.budget {
+            Err(Abandoned)
+        } else {
+            Ok(())
+        }
+    }
+
+    fn credit(&mut self, tally: &mut TxTally) {
+        if self.detail {
+            for id in tally.sorted_ids() {
+                if let Some(row) = self
+                    .tx_index
+                    .get(id)
+                    .and_then(|&i| self.tx_counts.get_mut(i))
+                {
+                    row.1 += 1;
+                }
+            }
+        }
+    }
+
+    fn into_per_station_tx(self) -> Vec<(StationId, u64)> {
+        self.tx_counts
+    }
+}
+
+/// Adopt the units split off by a slot's feedback (already awake; they are
+/// polled and re-queried from the next slot like everyone else), and
+/// abandon a class run whose live units cross the split budget.
+fn adopt_splits<S: Units, T: Tracer + ?Sized>(
+    units: &mut S,
+    hints: &mut HintIndex,
+    rs: &mut RunState<'_, T>,
+    t: Slot,
+) -> Result<(), S::Abandon> {
+    let born = units.adopt_splits();
+    if born > 0 {
+        hints.grow(units.len());
+        rs.trace.engine_event(TraceEvent::ClassSplit {
+            slot: t,
+            born: born as u64,
+        });
+    }
+    units.within_budget()?;
+    rs.out.peak_units = rs.out.peak_units.max(units.len() as u64);
+    Ok(())
 }
 
 /// The simulator. Stateless between runs; holds only the configuration.
@@ -942,9 +1924,16 @@ impl Simulator {
     /// derived as `derive_seed(run_seed, id)`, so the same
     /// `(protocol, pattern, run_seed)` triple always reproduces the same run.
     ///
-    /// Dispatches on [`SimConfig::population`]: the historical per-station
-    /// engine, or the class-aggregated engine (identical outcomes, memory
-    /// O(classes)).
+    /// Under [`PopulationMode::Classes`] stations waking at the same slot
+    /// are admitted as weighted units (identical outcomes, memory
+    /// O(classes)). **Split-budget guard:** a class run whose population
+    /// fragments into Ω(members) singletons pays per-unit split bookkeeping
+    /// *on top of* per-station work; past [`SimConfig::split_budget`] live
+    /// units — or at a churn crash a class cannot absorb — the attempt is
+    /// abandoned wholesale and the pattern re-runs on concrete stations.
+    /// Outcomes are identical either way; trace output is transactional
+    /// (the abandoned attempt leaves no events), and only the work
+    /// counters show the flip.
     pub fn run(
         &self,
         protocol: &dyn Protocol,
@@ -977,1985 +1966,328 @@ impl Simulator {
         run_seed: u64,
         tracer: &mut T,
     ) -> Result<Outcome, SimError> {
-        match self.cfg.population {
-            PopulationMode::Concrete => self.run_concrete(protocol, pattern, run_seed, tracer),
-            PopulationMode::Classes => {
-                self.run_with_population(protocol, pattern, run_seed, &mut ClassPopulation, tracer)
-            }
-        }
-    }
-
-    /// Pre-run validation shared by both engines.
-    fn validate(&self, pattern: &WakePattern) -> Result<(), SimError> {
         if self.cfg.n == 0 {
             return Err(SimError::NoStations);
         }
         if let Some(id) = pattern.out_of_range(self.cfg.n) {
             return Err(SimError::StationOutOfRange { id, n: self.cfg.n });
         }
-        Ok(())
-    }
-
-    /// The historical engine: one boxed [`Station`] per woken station.
-    /// Block patterns are materialized up front (O(k) — the documented cost
-    /// of running a mega pattern concretely).
-    fn run_concrete<T: Tracer + ?Sized>(
-        &self,
-        protocol: &dyn Protocol,
-        pattern: &WakePattern,
-        run_seed: u64,
-        tracer: &mut T,
-    ) -> Result<Outcome, SimError> {
-        self.validate(pattern)?;
-        let mut trace = TraceCtx::new(tracer);
-
-        let s = pattern.s();
-        let wakes = pattern.materialize();
-        let wakes: &[(StationId, Slot)] = &wakes;
-        let mut next_wake = 0usize; // index into `wakes`
-        let mut awake: Vec<(StationId, Box<dyn Station>, u64)> = Vec::new(); // (id, station, tx count)
-        let mut transcript = self.cfg.record_transcript.then(Transcript::new);
-
-        let mut transmissions = 0u64;
-        let mut collisions = 0u64;
-        let mut silent_slots = 0u64;
-        let mut first_success = None;
-        let mut winner = None;
-        let mut slots_simulated = 0u64;
-        let mut polls = 0u64;
-        let mut skipped_slots = 0u64;
-        let mut dense_steps = 0u64;
-        let mut word_slots = 0u64;
-        let mut mode_switches = 0u64;
-        let mut peak_units = 0u64;
-        // Trace watermarks (only advanced when a tracer wants them).
-        let (mut wm_heap, mut wm_units) = (0u64, 0u64);
-        let mut transmitters: Vec<StationId> = Vec::new();
-        let mut transmitted_flags: Vec<bool> = Vec::new();
-        let mut resolved: Vec<(StationId, Slot)> = Vec::new();
-        let mut all_resolved_at = None;
-        let total_stations = wakes.len();
-
-        // Channel-fault plumbing. Draws are keyed by (fault_seed, slot) so
-        // every engine path perturbs the same slots; under the ideal
-        // channel apply_channel is the identity and no draw is made.
-        let fault_seed = derive_seed(run_seed, FAULT_STREAM);
-        let mishear_armed = self.cfg.channel.false_collision_ppm > 0
-            && self.cfg.feedback == FeedbackModel::CollisionDetection;
-        let mut faults = FaultCounts::default();
-
-        // Churn fates, materialized up front from the pattern (a pure
-        // function of (run_seed, id, wake) — engine-path-independent).
-        // Crash and re-wake slots become sparse events below so both
-        // engine paths process them at exactly their slot.
-        let mut crashes: Vec<(Slot, StationId)> = Vec::new();
-        let mut rewakes: Vec<(Slot, StationId)> = Vec::new();
-        if !self.cfg.churn.is_empty() {
-            for &(id, sigma) in wakes.iter() {
-                if let Some((crash, rewake)) = self.cfg.churn.fate(run_seed, id, sigma) {
-                    crashes.push((crash, id));
-                    if let Some(r) = rewake {
-                        rewakes.push((r, id));
-                    }
-                }
-            }
-            crashes.sort_unstable();
-            rewakes.sort_unstable();
+        let concrete = |tracer: &mut T| {
+            let units = StationUnits::new(pattern, self.cfg.per_station_detail);
+            let Ok(out) = self.run_units(protocol, pattern, run_seed, units, tracer);
+            out
+        };
+        if self.cfg.population == PopulationMode::Concrete {
+            return Ok(concrete(tracer));
         }
-        let rewake_seed = derive_seed(run_seed, REWAKE_STREAM);
-        let mut next_crash = 0usize; // index into `crashes`
-        let mut next_rewake = 0usize; // index into `rewakes`
-
-        // Sparse until any station answers TxHint::Dense (or a malformed
-        // scope), which locks dense polling permanently, or until the
-        // adaptive policy drops into a dense burst window (from which a
-        // re-probe can return to sparse).
-        let mut sparse = self.cfg.engine == EngineMode::Auto;
-        let mut locked = matches!(self.cfg.engine, EngineMode::Dense | EngineMode::Bitslab);
-        let mut policy = Adaptive::new(self.cfg.policy);
-        // Word-kernel state (EngineMode::Bitslab always; Auto burst windows
-        // until a TxHint::Dense answer): per-station claim memos reusable
-        // across consecutive tiles, per-tile fill plumbing, and the slot the
-        // memos are coherent from. `kernel_dead` records a station that the
-        // kernel cannot plan for (TxHint::Dense or a malformed scope) — the
-        // engine then steps scalar dense, exactly like the sparse path's
-        // permanent dense lock.
-        let mut kernel_dead = false;
-        let mut word_memos: Vec<WordMemo> = Vec::new();
-        let mut word_generic: Vec<bool> = Vec::new();
-        let mut word_cols: Vec<u64> = Vec::new();
-        let mut word_blocks: Vec<[u64; 64]> = Vec::new();
-        let mut word_tx_idx: Vec<usize> = Vec::new();
-        let mut word_cont: Slot = Slot::MAX;
-        // Tile-width ramp: a fresh kernel engagement starts with a narrow
-        // tile and doubles on every contiguous follow-up, so a run that ends
-        // a handful of slots into a burst never pays for a full 64-slot fill
-        // (the overshoot is bounded by the width of the last tile), while a
-        // long burst reaches full-word tiles after three doublings.
-        const WORD_RAMP_SEED: u64 = 8;
-        let mut word_ramp: u64 = WORD_RAMP_SEED;
-        // Min-heap of (due slot, index into `awake`, hint epoch). A station
-        // has at most one *live* entry: re-querying bumps its hint epoch,
-        // and entries whose epoch is stale are discarded lazily on pop.
-        // Stations with an unconditional `Never` hint have no entry.
-        let mut heap: BinaryHeap<Reverse<(Slot, usize, u64)>> =
-            BinaryHeap::with_capacity(if sparse { wakes.len() + 1 } else { 0 });
-        // Per-station hint bookkeeping, parallel to `awake`.
-        let mut hint_states: Vec<HintState> = Vec::with_capacity(wakes.len());
-        // Indices holding an Until::NextSuccess-scoped hint (may contain
-        // stale entries; the `success_scoped` flag is authoritative).
-        let mut success_scoped: Vec<usize> = Vec::new();
-        let mut polled: Vec<usize> = Vec::new();
-        let mut requery: Vec<usize> = Vec::new();
-
-        /// Ask station `idx` for a fresh hint looking from `after` and
-        /// install it (heap entry + scope flags). Returns the due slot of
-        /// the installed heap entry (`None` for an unconditional silence
-        /// promise), or `Err(())` when the answer forces the dense path.
-        fn arm(
-            station: &mut dyn Station,
-            idx: usize,
-            after: Slot,
-            heap: &mut BinaryHeap<Reverse<(Slot, usize, u64)>>,
-            states: &mut [HintState],
-            scoped: &mut Vec<usize>,
-        ) -> Result<Option<Slot>, ()> {
-            install_hint(
-                station.next_transmission(after),
-                idx,
-                after,
-                heap,
-                states,
-                scoped,
-            )
-        }
-
-        /// Drop from the sparse path into a dense burst window: discard the
-        /// heap and success-scope bookkeeping (a later re-probe rebuilds
-        /// both from fresh hints).
-        fn clear_sparse_state(
-            heap: &mut BinaryHeap<Reverse<(Slot, usize, u64)>>,
-            states: &mut [HintState],
-            scoped: &mut Vec<usize>,
-        ) {
-            heap.clear();
-            for st in states.iter_mut() {
-                st.success_scoped = false;
-            }
-            scoped.clear();
-        }
-
-        // Append `count` silent-slot records starting at `from`.
-        fn record_silence(transcript: &mut Option<Transcript>, from: Slot, count: u64) {
-            if let Some(tr) = transcript.as_mut() {
-                for slot in from..from + count {
-                    tr.push(SlotRecord {
-                        slot,
-                        transmitters: Vec::new(),
-                        outcome: SlotOutcome::Silence,
-                    });
-                }
-            }
-        }
-
-        let mut t = s;
-        'slots: while slots_simulated < self.cfg.max_slots {
-            // Wake newly arriving stations (wakes are sorted by slot).
-            let batch_start = awake.len();
-            while next_wake < wakes.len() && wakes[next_wake].1 <= t {
-                let (id, sigma) = wakes[next_wake];
-                let mut station = protocol.station(id, derive_seed(run_seed, u64::from(id.0)));
-                station.wake(sigma);
-                hint_states.push(HintState::new());
-                if sparse {
-                    policy.win_cost += policy.p.hint_cost;
-                    match arm(
-                        station.as_mut(),
-                        awake.len(),
-                        t,
-                        &mut heap,
-                        &mut hint_states,
-                        &mut success_scoped,
-                    ) {
-                        Err(()) => {
-                            sparse = false;
-                            locked = true;
-                            heap.clear();
-                            trace.engine_event(TraceEvent::ModeSwitch {
-                                slot: t,
-                                dense: true,
-                            });
-                        }
-                        // Wake-time burst detection, short-circuited: a
-                        // *batch* arrival (≥ 2 stations this slot) whose
-                        // member is due immediately has nothing to skip —
-                        // drop straight into dense stepping instead of
-                        // paying hint queries for the rest of the batch.
-                        Ok(Some(due))
-                            if due <= t + 1
-                                && (awake.len() > batch_start
-                                    || wakes.get(next_wake + 1).is_some_and(|&(_, w)| w <= t)) =>
-                        {
-                            sparse = false;
-                            mode_switches += 1;
-                            policy.start_burst(awake.len() + 1);
-                            trace.engine_event(TraceEvent::ModeSwitch {
-                                slot: t,
-                                dense: true,
-                            });
-                            trace.engine_event(TraceEvent::BurstOpen {
-                                slot: t,
-                                window: policy.burst_len,
-                            });
-                            clear_sparse_state(&mut heap, &mut hint_states, &mut success_scoped);
-                        }
-                        Ok(_) => {}
-                    }
-                }
-                awake.push((id, station, 0));
-                next_wake += 1;
-            }
-            if awake.len() > batch_start {
-                trace.wake(t, (awake.len() - batch_start) as u64);
-            }
-            // Crash stations fated to die at or before t: the station is
-            // replaced by an inert listener (no dead-flag checks on the hot
-            // paths) and its live hint entry is superseded. A crash never
-            // shrinks `awake`, so indices stay stable.
-            while let Some(&(cslot, cid)) = crashes.get(next_crash) {
-                if cslot > t {
-                    break;
-                }
-                next_crash += 1;
-                if let Some(idx) = awake.iter().rposition(|(aid, _, _)| *aid == cid) {
-                    if let Some(entry) = awake.get_mut(idx) {
-                        entry.1 = Box::new(NeverTransmit);
-                    }
-                    if let Some(memo) = word_memos.get_mut(idx) {
-                        *memo = WordMemo::Stale;
-                    }
-                    // Supersede any live heap entry; an inert listener
-                    // needs no new one.
-                    if let Some(hs) = hint_states.get_mut(idx) {
-                        hs.epoch += 1;
-                        hs.success_scoped = false;
-                    }
-                    faults.churn_crashes += 1;
-                    trace.churn_crash(cslot, cid);
-                }
-            }
-            // Re-wake crashed stations fated to return at or before t, as
-            // fresh protocol instances under the re-wake seed stream (the
-            // old instance's state died with it).
-            while let Some(&(rslot, rid)) = rewakes.get(next_rewake) {
-                if rslot > t {
-                    break;
-                }
-                next_rewake += 1;
-                let mut station = protocol.station(rid, derive_seed(rewake_seed, u64::from(rid.0)));
-                station.wake(rslot);
-                hint_states.push(HintState::new());
-                if sparse {
-                    policy.win_cost += policy.p.hint_cost;
-                    if arm(
-                        station.as_mut(),
-                        awake.len(),
-                        t,
-                        &mut heap,
-                        &mut hint_states,
-                        &mut success_scoped,
-                    )
-                    .is_err()
-                    {
-                        sparse = false;
-                        locked = true;
-                        heap.clear();
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t,
-                            dense: true,
-                        });
-                    }
-                }
-                awake.push((rid, station, 0));
-                faults.churn_rewakes += 1;
-                trace.churn_rewake(rslot, rid);
-            }
-            peak_units = peak_units.max(awake.len() as u64);
-            if trace.wants(TraceKind::Watermark) {
-                let (h, u) = (heap.len() as u64, awake.len() as u64);
-                if h > wm_heap || u > wm_units {
-                    wm_heap = wm_heap.max(h);
-                    wm_units = wm_units.max(u);
-                    trace.engine_event(TraceEvent::Watermark {
-                        slot: t,
-                        heap: wm_heap,
-                        units: wm_units,
-                    });
-                }
-            }
-            // Full-batch burst test: after a batch arrival, if the earliest
-            // live obligation in the heap is due within resume_gap slots,
-            // the heap has nothing to skip right now — run the burst dense.
-            if sparse && awake.len() - batch_start >= 2 {
-                while let Some(&Reverse((_, idx, epoch))) = heap.peek() {
-                    if hint_states[idx].epoch == epoch {
-                        break;
-                    }
-                    heap.pop();
-                }
-                if let Some(&Reverse((due, _, _))) = heap.peek() {
-                    if due < t + policy.p.resume_gap {
-                        sparse = false;
-                        mode_switches += 1;
-                        policy.start_burst(awake.len());
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t,
-                            dense: true,
-                        });
-                        trace.engine_event(TraceEvent::BurstOpen {
-                            slot: t,
-                            window: policy.burst_len,
-                        });
-                        clear_sparse_state(&mut heap, &mut hint_states, &mut success_scoped);
-                    }
-                }
-            }
-
-            // Fast-forward: if nobody is awake, jump to the next wake-up —
-            // but never past the slot cap. (Cannot happen before the first
-            // success since `s` is the first wake and stations stay awake,
-            // but keep the engine total.)
-            if awake.is_empty() {
-                match wakes.get(next_wake) {
-                    Some(&(_, sigma)) => {
-                        let gap = sigma - t;
-                        let remaining = self.cfg.max_slots - slots_simulated;
-                        if gap >= remaining {
-                            trace.silence(t, remaining);
-                            slots_simulated += remaining;
-                            skipped_slots += remaining;
-                            break 'slots;
-                        }
-                        trace.silence(t, gap);
-                        slots_simulated += gap;
-                        skipped_slots += gap;
-                        t = sigma;
-                        continue 'slots;
-                    }
-                    None => break 'slots,
-                }
-            }
-
-            if sparse {
-                // Drop heap entries superseded by a newer hint epoch so the
-                // peeked due slot is a live one.
-                while let Some(&Reverse((_, idx, epoch))) = heap.peek() {
-                    if hint_states[idx].epoch == epoch {
-                        break;
-                    }
-                    heap.pop();
-                }
-                // Next event: the earliest due entry, arrival, or churn
-                // event (crash/re-wake slots are processed at the loop top,
-                // so they must be landed on exactly — never skipped over).
-                let next_due = heap.peek().map(|&Reverse((slot, _, _))| slot);
-                let next_arrival = wakes.get(next_wake).map(|&(_, sigma)| sigma);
-                let next_churn = crashes
-                    .get(next_crash)
-                    .map(|&(slot, _)| slot)
-                    .into_iter()
-                    .chain(rewakes.get(next_rewake).map(|&(slot, _)| slot))
-                    .min();
-                let event = match next_due
-                    .into_iter()
-                    .chain(next_arrival)
-                    .chain(next_churn)
-                    .min()
-                {
-                    Some(e) => e,
-                    None => {
-                        // No due entries, nobody else wakes, and no churn
-                        // pending: no station will transmit, so no event —
-                        // not even a success that could void a
-                        // NextSuccess-scoped hint — can occur. The rest of
-                        // the run is provably silent.
-                        let remaining = self.cfg.max_slots - slots_simulated;
-                        record_silence(&mut transcript, t, remaining);
-                        trace.silence(t, remaining);
-                        slots_simulated += remaining;
-                        silent_slots += remaining;
-                        skipped_slots += remaining;
-                        break 'slots;
-                    }
-                };
-                debug_assert!(event >= t, "event {event} behind clock {t}");
-                if event > t {
-                    // Skip the provably silent gap [t, event), respecting
-                    // the cap. Silence cannot void any scope: NextSuccess
-                    // hints survive (no transmission ⇒ no success) and
-                    // Slot(t') boundaries are themselves heap entries.
-                    let gap = event - t;
-                    let remaining = self.cfg.max_slots - slots_simulated;
-                    let take = gap.min(remaining);
-                    record_silence(&mut transcript, t, take);
-                    trace.silence(t, take);
-                    slots_simulated += take;
-                    silent_slots += take;
-                    skipped_slots += take;
-                    t += take;
-                    continue 'slots; // re-checks the cap / wakes arrivals
-                }
-
-                // Event at t: serve the due entries. A re-query may install
-                // a hint due at t again (e.g. a scope boundary answering
-                // "transmitting right now"), so iterate to a fixpoint.
-                transmitters.clear();
-                transmitted_flags.clear();
-                polled.clear();
-                loop {
-                    requery.clear();
-                    while let Some(&Reverse((slot, idx, epoch))) = heap.peek() {
-                        if slot != t {
-                            break;
-                        }
-                        heap.pop();
-                        if hint_states[idx].epoch != epoch {
-                            continue; // stale entry
-                        }
-                        match hint_states[idx].due {
-                            Due::Poll => polled.push(idx),
-                            Due::Requery => requery.push(idx),
-                        }
-                    }
-                    if requery.is_empty() {
-                        break;
-                    }
-                    trace.engine_event(TraceEvent::HintRequery {
-                        slot: t,
-                        queries: requery.len() as u64,
-                    });
-                    for &idx in &requery {
-                        policy.win_cost += policy.p.hint_cost;
-                        if arm(
-                            awake[idx].1.as_mut(),
-                            idx,
-                            t,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                        {
-                            sparse = false;
-                            locked = true;
-                            heap.clear();
-                            break;
-                        }
-                    }
-                    if !sparse {
-                        break;
-                    }
-                }
-                if !sparse {
-                    continue 'slots; // dense path simulates slot t itself
-                }
-                if polled.is_empty() {
-                    // Pure re-query event: nobody claimed a transmission at
-                    // t after all, so the slot joins the next silent gap
-                    // instead of being simulated individually. Re-query
-                    // storms still count as sparse work, so a protocol that
-                    // calls back every slot trips the yield test too.
-                    if policy.should_burst(slots_simulated, awake.len()) {
-                        sparse = false;
-                        mode_switches += 1;
-                        policy.start_burst(awake.len());
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t,
-                            dense: true,
-                        });
-                        trace.engine_event(TraceEvent::BurstOpen {
-                            slot: t,
-                            window: policy.burst_len,
-                        });
-                        clear_sparse_state(&mut heap, &mut hint_states, &mut success_scoped);
-                    }
-                    continue 'slots;
-                }
-
-                // Transmission event at t: poll exactly the scheduled
-                // stations (everyone else is silent by promise).
-                policy.win_cost += polled.len() as u64;
-                for &idx in &polled {
-                    let (id, station, tx_count) = &mut awake[idx];
-                    polls += 1;
-                    let transmit = station.act(t).is_transmit();
-                    transmitted_flags.push(transmit);
-                    if transmit {
-                        transmitters.push(*id);
-                        *tx_count += 1;
-                        transmissions += 1;
-                    }
-                }
-                transmitters.sort_unstable();
-                let outcome = apply_channel(
-                    &self.cfg.channel,
-                    fault_seed,
-                    t,
-                    SlotOutcome::resolve(transmitters.clone()),
-                    &mut faults,
-                    &mut trace,
-                );
-                let mishear = mishear_armed
-                    && outcome == SlotOutcome::Silence
-                    && self.cfg.channel.mishears_silence(fault_seed, t);
-                if mishear {
-                    faults.false_collisions += 1;
-                }
-
-                if let Some(tr) = transcript.as_mut() {
-                    tr.push(SlotRecord {
-                        slot: t,
-                        transmitters: transmitters.clone(),
-                        outcome: outcome.clone(),
-                    });
-                }
-
-                slots_simulated += 1;
-                if let Some(w) = outcome.success_id() {
-                    trace.success(t, w);
-                    if first_success.is_none() {
-                        first_success = Some(t);
-                        winner = Some(w);
-                    }
-                    if !resolved.iter().any(|&(id, _)| id == w) {
-                        resolved.push((w, t));
-                    }
-                    if self.cfg.stop == StopRule::FirstSuccess {
-                        break 'slots; // matches dense: no feedback delivered
-                    }
-
-                    // AllResolved: a success is heard by every station, so
-                    // feedback goes to the whole floor (matching dense; a
-                    // non-polled station cannot have transmitted).
-                    for (j, (_, station, _)) in awake.iter_mut().enumerate() {
-                        let transmitted = polled
-                            .iter()
-                            .position(|&idx| idx == j)
-                            .is_some_and(|p| transmitted_flags[p]);
-                        let fb = self.cfg.feedback.perceive(&outcome, transmitted);
-                        station.feedback(t, fb);
-                    }
-                    if resolved.len() == total_stations && next_wake == wakes.len() {
-                        all_resolved_at = Some(t);
-                        break 'slots;
-                    }
-
-                    // The success event invalidates every NextSuccess-scoped
-                    // hint; re-query exactly those stations (plus the polled
-                    // ones, whose entries were consumed) from t + 1.
-                    requery.clear();
-                    for idx in success_scoped.drain(..) {
-                        if hint_states[idx].success_scoped {
-                            hint_states[idx].success_scoped = false;
-                            requery.push(idx);
-                        }
-                    }
-                    requery.extend(polled.iter().copied());
-                    requery.sort_unstable();
-                    requery.dedup();
-                    trace.engine_event(TraceEvent::HintRequery {
-                        slot: t + 1,
-                        queries: requery.len() as u64,
-                    });
-                    for &idx in &requery {
-                        if arm(
-                            awake[idx].1.as_mut(),
-                            idx,
-                            t + 1,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                        {
-                            sparse = false;
-                            locked = true;
-                            heap.clear();
-                            break;
-                        }
-                    }
-
-                    // A success reshapes the hint landscape (retirement,
-                    // rescheduling): restart the yield observation window
-                    // rather than letting pre-success burstiness linger —
-                    // and the broadcast re-arms above are the mandatory
-                    // price of the event, not per-slot overhead, so they
-                    // are not charged to the window either.
-                    policy.win_cost = 0;
-                    policy.win_start = slots_simulated;
-                    t += 1;
-                    continue 'slots;
-                }
-
-                match &outcome {
-                    SlotOutcome::Collision(_) => {
-                        collisions += 1;
-                        trace.collision(t, transmitters.len() as u64);
-                    }
-                    SlotOutcome::Silence => {
-                        silent_slots += 1;
-                        trace.silence(t, 1);
-                    }
-                    SlotOutcome::Success(_) => unreachable!("handled above"),
-                }
-
-                // Non-success feedback goes only to the polled stations:
-                // Forever-scoped stations are oblivious, NextSuccess-scoped
-                // ones must ignore anything but a success, by contract.
-                for (&idx, &transmitted) in polled.iter().zip(transmitted_flags.iter()) {
-                    let fb = if mishear {
-                        Feedback::Noise
-                    } else {
-                        self.cfg.feedback.perceive(&outcome, transmitted)
-                    };
-                    awake[idx].1.feedback(t, fb);
-                }
-
-                // Re-arm the polled stations' hints (their entries were
-                // consumed); nothing else was invalidated.
-                trace.engine_event(TraceEvent::HintRequery {
-                    slot: t + 1,
-                    queries: polled.len() as u64,
-                });
-                for &idx in &polled {
-                    policy.win_cost += policy.p.hint_cost;
-                    if arm(
-                        awake[idx].1.as_mut(),
-                        idx,
-                        t + 1,
-                        &mut heap,
-                        &mut hint_states,
-                        &mut success_scoped,
-                    )
-                    .is_err()
-                    {
-                        sparse = false;
-                        locked = true;
-                        heap.clear();
-                        break;
-                    }
-                }
-
-                if sparse && policy.should_burst(slots_simulated, awake.len()) {
-                    sparse = false;
-                    mode_switches += 1;
-                    policy.start_burst(awake.len());
-                    trace.engine_event(TraceEvent::ModeSwitch {
-                        slot: t + 1,
-                        dense: true,
-                    });
-                    trace.engine_event(TraceEvent::BurstOpen {
-                        slot: t + 1,
-                        window: policy.burst_len,
-                    });
-                    clear_sparse_state(&mut heap, &mut hint_states, &mut success_scoped);
-                }
-                t += 1;
-                continue 'slots;
-            }
-
-            // Dense stepping. When the word kernel is live — always under
-            // EngineMode::Bitslab, and in Auto burst windows that survived
-            // their scalar warmup, until a TxHint::Dense answer — whole
-            // tiles of up to 64 slots are
-            // resolved by popcount over transposed per-station bit columns,
-            // materializing feedback/trace only on real channel events.
-            // Otherwise one scalar slot is polled. Both converge on the
-            // shared adaptive tail below.
-            let kernel_live = !kernel_dead
-                && match self.cfg.engine {
-                    EngineMode::Bitslab => true,
-                    EngineMode::Auto => !locked && policy.kernel_warm(),
-                    EngineMode::Dense => false,
-                };
-            let mut stepped = 1u64; // slots consumed by this iteration
-            let mut step_success = false;
-            let mut ran_tile = false;
-            if kernel_live {
-                // Tile horizon: the ramp width, then stop at the next
-                // arrival (the wake loop at the top of 'slots admits
-                // batches), the slot cap, and — under Auto — the burst
-                // window's own expiry.
-                word_ramp = if word_cont == t {
-                    (word_ramp * 2).min(64)
-                } else {
-                    WORD_RAMP_SEED
-                };
-                let mut tile_h = t + word_ramp;
-                if let Some(&(_, sigma)) = wakes.get(next_wake) {
-                    tile_h = tile_h.min(sigma);
-                }
-                // Churn events are processed at the loop top: never tile
-                // past a pending crash or re-wake slot.
-                if let Some(&(crash, _)) = crashes.get(next_crash) {
-                    tile_h = tile_h.min(crash);
-                }
-                if let Some(&(rewake, _)) = rewakes.get(next_rewake) {
-                    tile_h = tile_h.min(rewake);
-                }
-                tile_h = tile_h.min(t + (self.cfg.max_slots - slots_simulated));
-                if self.cfg.engine == EngineMode::Auto {
-                    tile_h = tile_h.min(t + policy.burst_remaining.max(1));
-                }
-
-                // Memos are claims carried over from earlier tiles; they
-                // are coherent only when this tile starts exactly where the
-                // previous one ended (no sparse interlude, no re-probe).
-                if word_cont != t {
-                    word_memos.clear();
-                }
-                word_memos.resize(awake.len(), WordMemo::Stale);
-                word_generic.clear();
-                word_generic.resize(awake.len(), false);
-                word_cols.clear();
-                word_cols.resize(awake.len(), 0);
-
-                // Fill one column of transmit bits per station. Each claim
-                // is scoped per the TxHint obligations, and `tile_h` shrinks
-                // to the first slot not covered by some station's claim —
-                // one query per station per tile, never a lookahead (the
-                // `after` arguments of `next_transmission` must stay
-                // non-decreasing even if a mid-tile success re-probes).
-                let mut fill_err = false;
-                for (idx, (_, station, _)) in awake.iter_mut().enumerate() {
-                    // A still-valid claim from a previous tile?
-                    let mut claim = match word_memos[idx] {
-                        WordMemo::Hint { next, until } => {
-                            let live = match until {
-                                Until::Forever | Until::NextSuccess => true,
-                                Until::Slot(tb) => t < tb,
-                            };
-                            debug_assert!(
-                                next.is_none_or(|p| p >= t),
-                                "stale word memo: next={next:?} at tile base {t}"
-                            );
-                            live.then_some((next, until))
-                        }
-                        WordMemo::Stale => None,
-                    };
-                    if claim.is_none() {
-                        // Protocol-level batch fill first…
-                        if let Some(w) = station.fill_tx_word(t, (tile_h - t) as u32) {
-                            let (mask, horizon) = match w.until {
-                                Until::Slot(tb) if tb <= t => {
-                                    fill_err = true;
-                                    break;
-                                }
-                                Until::Slot(tb) => (low_mask(tb - t), tb),
-                                Until::Forever | Until::NextSuccess => (u64::MAX, t + 64),
-                            };
-                            word_cols[idx] = w.bits & mask;
-                            tile_h = tile_h.min(horizon);
-                            continue;
-                        }
-                        // …generic per-station fill from the hint protocol.
-                        claim = match station.next_transmission(t) {
-                            TxHint::Dense => {
-                                fill_err = true;
-                                break;
-                            }
-                            TxHint::At(p, until) => {
-                                let p = p.max(t);
-                                match until {
-                                    Until::Slot(tb) if tb <= t => {
-                                        fill_err = true;
-                                        break;
-                                    }
-                                    // Scope boundary before the claimed
-                                    // transmission: only the silence up to
-                                    // `tb` is usable.
-                                    Until::Slot(tb) if p >= tb => Some((None, until)),
-                                    _ => Some((Some(p), until)),
-                                }
-                            }
-                            TxHint::Never(until) => match until {
-                                Until::Slot(tb) if tb <= t => {
-                                    fill_err = true;
-                                    break;
-                                }
-                                _ => Some((None, until)),
-                            },
-                        };
-                    }
-                    let (next, until) = claim.unwrap();
-                    word_generic[idx] = true;
-                    word_memos[idx] = WordMemo::Hint { next, until };
-                    match next {
-                        Some(p) => {
-                            if p - t < 64 {
-                                word_cols[idx] = 1u64 << (p - t);
-                            }
-                            // Nothing is claimed past the transmission.
-                            tile_h = tile_h.min(p + 1);
-                        }
-                        None => {
-                            if let Until::Slot(tb) = until {
-                                tile_h = tile_h.min(tb);
-                            }
-                        }
-                    }
-                }
-
-                if fill_err {
-                    // Same permanent lock as a TxHint::Dense answer on the
-                    // sparse path: scalar dense polling from here on.
-                    locked = true;
-                    kernel_dead = true;
-                    heap.clear();
-                } else {
-                    ran_tile = true;
-                    let w = (tile_h - t) as usize;
-                    debug_assert!(0 < w && w <= 64, "tile width {w}");
-                    let wmask = low_mask(w as u64);
-                    // Transpose station-major columns into slot-major rows:
-                    // after transposing each 64-station block, word `j` of a
-                    // block holds that block's transmit bits for slot t + j.
-                    let nblocks = awake.len().div_ceil(64);
-                    word_blocks.clear();
-                    word_blocks.resize(nblocks, [0u64; 64]);
-                    for (i, &col) in word_cols.iter().enumerate() {
-                        word_blocks[i / 64][i % 64] = col & wmask;
-                    }
-                    for blk in word_blocks.iter_mut() {
-                        transpose64(blk);
-                    }
-
-                    let mut tile_end = t + w as u64;
-                    let mut silent_from = t;
-                    let mut silent_run = 0u64;
-                    let mut j = 0usize;
-                    'tile: while j < w {
-                        let slot = t + j as u64;
-                        let mut busy = 0u32;
-                        for blk in word_blocks.iter() {
-                            busy += blk[j].count_ones();
-                        }
-                        if busy == 0 {
-                            if silent_run == 0 {
-                                silent_from = slot;
-                            }
-                            silent_run += 1;
-                            j += 1;
-                            continue 'tile;
-                        }
-                        // A real channel event: flush the silent prefix,
-                        // then materialize exactly this slot.
-                        if silent_run > 0 {
-                            record_silence(&mut transcript, silent_from, silent_run);
-                            trace.silence(silent_from, silent_run);
-                            slots_simulated += silent_run;
-                            silent_slots += silent_run;
-                            word_slots += silent_run;
-                            silent_run = 0;
-                        }
-                        transmitters.clear();
-                        word_tx_idx.clear();
-                        for (b, blk) in word_blocks.iter().enumerate() {
-                            let mut bits = blk[j];
-                            while bits != 0 {
-                                let idx = b * 64 + bits.trailing_zeros() as usize;
-                                bits &= bits - 1;
-                                word_tx_idx.push(idx);
-                            }
-                        }
-                        for &idx in &word_tx_idx {
-                            let (id, station, tx_count) = &mut awake[idx];
-                            if word_generic[idx] {
-                                // The generic fill promised a transmission
-                                // here: give the station its act() call
-                                // (the sparse path's lifecycle) and consume
-                                // the claim.
-                                polls += 1;
-                                let acted = station.act(slot).is_transmit();
-                                debug_assert!(acted, "hinted transmission at {slot} not acted on");
-                                let _ = acted;
-                                word_memos[idx] = WordMemo::Stale;
-                            }
-                            transmitters.push(*id);
-                            *tx_count += 1;
-                            transmissions += 1;
-                        }
-                        transmitters.sort_unstable();
-                        let outcome = apply_channel(
-                            &self.cfg.channel,
-                            fault_seed,
-                            slot,
-                            SlotOutcome::resolve(transmitters.clone()),
-                            &mut faults,
-                            &mut trace,
-                        );
-                        if let Some(tr) = transcript.as_mut() {
-                            tr.push(SlotRecord {
-                                slot,
-                                transmitters: transmitters.clone(),
-                                outcome: outcome.clone(),
-                            });
-                        }
-                        slots_simulated += 1;
-                        word_slots += 1;
-                        match &outcome {
-                            SlotOutcome::Success(wid) => {
-                                let wid = *wid;
-                                trace.success(slot, wid);
-                                if first_success.is_none() {
-                                    first_success = Some(slot);
-                                    winner = Some(wid);
-                                }
-                                if !resolved.iter().any(|&(id, _)| id == wid) {
-                                    resolved.push((wid, slot));
-                                }
-                                step_success = true;
-                                if self.cfg.stop == StopRule::FirstSuccess {
-                                    break 'slots; // matches scalar: no feedback
-                                }
-                                // AllResolved: the success is heard by the
-                                // whole floor (matching both scalar paths).
-                                let widx = word_tx_idx[0];
-                                for (i2, (_, station, _)) in awake.iter_mut().enumerate() {
-                                    let fb = self.cfg.feedback.perceive(&outcome, i2 == widx);
-                                    station.feedback(slot, fb);
-                                }
-                                if resolved.len() == total_stations && next_wake == wakes.len() {
-                                    all_resolved_at = Some(slot);
-                                    break 'slots;
-                                }
-                                // The success voids every NextSuccess-scoped
-                                // claim; close the tile so the next one
-                                // refills from slot + 1.
-                                for m in word_memos.iter_mut() {
-                                    if let WordMemo::Hint {
-                                        until: Until::NextSuccess,
-                                        ..
-                                    } = m
-                                    {
-                                        *m = WordMemo::Stale;
-                                    }
-                                }
-                                tile_end = slot + 1;
-                                break 'tile;
-                            }
-                            SlotOutcome::Collision(_) => {
-                                collisions += 1;
-                                trace.collision(slot, transmitters.len() as u64);
-                                // Non-success feedback goes only to the
-                                // transmitters (the sparse-path contract;
-                                // everyone else ignores it by scope).
-                                for &idx in &word_tx_idx {
-                                    let fb = self.cfg.feedback.perceive(&outcome, true);
-                                    awake[idx].1.feedback(slot, fb);
-                                }
-                            }
-                            SlotOutcome::Silence => {
-                                // busy > 0, yet silence: an erased success.
-                                // The slot is heard silent; the transmitter
-                                // gets silence feedback and the run goes on.
-                                silent_slots += 1;
-                                trace.silence(slot, 1);
-                                let mishear = mishear_armed
-                                    && self.cfg.channel.mishears_silence(fault_seed, slot);
-                                if mishear {
-                                    faults.false_collisions += 1;
-                                }
-                                for &idx in &word_tx_idx {
-                                    let fb = if mishear {
-                                        Feedback::Noise
-                                    } else {
-                                        self.cfg.feedback.perceive(&outcome, true)
-                                    };
-                                    if let Some(entry) = awake.get_mut(idx) {
-                                        entry.1.feedback(slot, fb);
-                                    }
-                                }
-                            }
-                        }
-                        j += 1;
-                    }
-                    if silent_run > 0 {
-                        record_silence(&mut transcript, silent_from, silent_run);
-                        trace.silence(silent_from, silent_run);
-                        slots_simulated += silent_run;
-                        silent_slots += silent_run;
-                        word_slots += silent_run;
-                    }
-                    stepped = tile_end - t;
-                    t = tile_end;
-                    word_cont = tile_end;
-                }
-            }
-            if !ran_tile {
-                // Scalar dense slot: poll every awake station.
-                transmitters.clear();
-                transmitted_flags.clear();
-                for (id, station, tx_count) in awake.iter_mut() {
-                    polls += 1;
-                    let transmit = station.act(t).is_transmit();
-                    transmitted_flags.push(transmit);
-                    if transmit {
-                        transmitters.push(*id);
-                        *tx_count += 1;
-                        transmissions += 1;
-                    }
-                }
-                transmitters.sort_unstable();
-                let outcome = apply_channel(
-                    &self.cfg.channel,
-                    fault_seed,
-                    t,
-                    SlotOutcome::resolve(transmitters.clone()),
-                    &mut faults,
-                    &mut trace,
-                );
-                let mishear = mishear_armed
-                    && outcome == SlotOutcome::Silence
-                    && self.cfg.channel.mishears_silence(fault_seed, t);
-                if mishear {
-                    faults.false_collisions += 1;
-                }
-
-                if let Some(tr) = transcript.as_mut() {
-                    tr.push(SlotRecord {
-                        slot: t,
-                        transmitters: transmitters.clone(),
-                        outcome: outcome.clone(),
-                    });
-                }
-
-                slots_simulated += 1;
-                dense_steps += 1;
-                match &outcome {
-                    SlotOutcome::Success(w) => {
-                        step_success = true;
-                        trace.success(t, *w);
-                        if first_success.is_none() {
-                            first_success = Some(t);
-                            winner = Some(*w);
-                        }
-                        if !resolved.iter().any(|&(id, _)| id == *w) {
-                            resolved.push((*w, t));
-                        }
-                        match self.cfg.stop {
-                            StopRule::FirstSuccess => break 'slots,
-                            StopRule::AllResolved => {
-                                if resolved.len() == total_stations && next_wake == wakes.len() {
-                                    all_resolved_at = Some(t);
-                                    // Deliver the final feedback so the winner
-                                    // learns of its own success, then stop.
-                                    for ((_, station, _), &transmitted) in
-                                        awake.iter_mut().zip(transmitted_flags.iter())
-                                    {
-                                        let fb = self.cfg.feedback.perceive(&outcome, transmitted);
-                                        station.feedback(t, fb);
-                                    }
-                                    break 'slots;
-                                }
-                            }
-                        }
-                    }
-                    SlotOutcome::Collision(_) => {
-                        collisions += 1;
-                        trace.collision(t, transmitters.len() as u64);
-                    }
-                    SlotOutcome::Silence => {
-                        silent_slots += 1;
-                        trace.silence(t, 1);
-                    }
-                }
-
-                // Deliver feedback to every awake station.
-                for ((_, station, _), &transmitted) in
-                    awake.iter_mut().zip(transmitted_flags.iter())
-                {
-                    let fb = if mishear {
-                        Feedback::Noise
-                    } else {
-                        self.cfg.feedback.perceive(&outcome, transmitted)
-                    };
-                    station.feedback(t, fb);
-                }
-
-                t += 1;
-            }
-
-            // Adaptive burst window bookkeeping (never when dense is locked
-            // by EngineMode::Dense / EngineMode::Bitslab or a TxHint::Dense
-            // answer): at window expiry — and early at success events, which
-            // reshape the hint landscape (retirement) — re-probe whether
-            // sparsity pays again.
-            if !locked {
-                policy.burst_remaining = policy.burst_remaining.saturating_sub(stepped);
-                if policy.burst_remaining == 0 || step_success {
-                    // Re-query every awake station for a fresh hint from t.
-                    clear_sparse_state(&mut heap, &mut hint_states, &mut success_scoped);
-                    trace.engine_event(TraceEvent::HintRequery {
-                        slot: t,
-                        queries: awake.len() as u64,
-                    });
-                    let mut hints_ok = true;
-                    for (idx, (_, station, _)) in awake.iter_mut().enumerate() {
-                        if arm(
-                            station.as_mut(),
-                            idx,
-                            t,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                        {
-                            hints_ok = false;
-                            break;
-                        }
-                    }
-                    if !hints_ok {
-                        locked = true;
-                        heap.clear();
-                    } else {
-                        while let Some(&Reverse((_, idx, epoch))) = heap.peek() {
-                            if hint_states[idx].epoch == epoch {
-                                break;
-                            }
-                            heap.pop();
-                        }
-                        let next_due = heap.peek().map(|&Reverse((slot, _, _))| slot);
-                        let next_arrival = wakes.get(next_wake).map(|&(_, sigma)| sigma);
-                        let event = match (next_due, next_arrival) {
-                            (Some(a), Some(b)) => Some(a.min(b)),
-                            (a, b) => a.or(b),
-                        };
-                        // Resume sparse only when there is an actual gap to
-                        // skip (or provable silence to the cap).
-                        if event.is_none_or(|e| e >= t + policy.p.resume_gap) {
-                            sparse = true;
-                            mode_switches += 1;
-                            policy.resume_sparse(slots_simulated);
-                            trace.engine_event(TraceEvent::BurstClose { slot: t });
-                            trace.engine_event(TraceEvent::ModeSwitch {
-                                slot: t,
-                                dense: false,
-                            });
-                        } else {
-                            policy.backoff(awake.len());
-                            heap.clear();
-                            trace.engine_event(TraceEvent::BurstOpen {
-                                slot: t,
-                                window: policy.burst_len,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        trace.run_end(slots_simulated, first_success);
-        Ok(Outcome {
-            s,
-            first_success,
-            winner,
-            slots_simulated,
-            transmissions,
-            per_station_tx: if self.cfg.per_station_detail {
-                if rewakes.is_empty() {
-                    awake.iter().map(|(id, _, tx)| (*id, *tx)).collect()
-                } else {
-                    // Re-wakes duplicate IDs in `awake`: merge each ID's
-                    // counts into its first occurrence (wake order).
-                    let mut merged: Vec<(StationId, u64)> = Vec::with_capacity(awake.len());
-                    for (id, _, tx) in awake.iter() {
-                        match merged.iter_mut().find(|(mid, _)| mid == id) {
-                            Some((_, count)) => *count += *tx,
-                            None => merged.push((*id, *tx)),
-                        }
-                    }
-                    merged
-                }
-            } else {
-                Vec::new()
-            },
-            collisions,
-            silent_slots,
-            polls,
-            skipped_slots,
-            dense_steps,
-            word_slots,
-            mode_switches,
-            peak_units,
-            transcript,
-            resolved,
-            all_resolved_at,
-            faults,
-        })
-    }
-
-    /// Run `protocol` against `pattern` under an explicit [`Population`]
-    /// strategy — the **class engine**. Stations waking at the same slot
-    /// are admitted as weighted units ([`ClassStation`]s); the run loop
-    /// mirrors the concrete engine's sparse event discipline (epoch-stamped
-    /// min-heap of per-unit due slots, fixpoint re-query at events, success
-    /// broadcast under [`StopRule::AllResolved`]) with one entry per *unit*
-    /// rather than per station, and falls back to per-slot dense polling
-    /// permanently when any unit answers [`TxHint::Dense`]. No adaptive
-    /// burst policy runs here — outcomes are path-independent, so only the
-    /// work counters differ from the concrete engine.
-    ///
-    /// Outcomes and transcripts are bit-identical to
-    /// [`run`](Simulator::run) under [`PopulationMode::Concrete`] for the
-    /// same config; memory is O(live units), reported via
-    /// [`Outcome::peak_units`].
-    ///
-    /// **Split-budget guard.** A class run whose population fragments into
-    /// Ω(members) singletons pays per-unit split bookkeeping *on top of*
-    /// per-station work; past [`SimConfig::split_budget`] live units the
-    /// attempt is abandoned wholesale and the pattern re-runs on the
-    /// concrete engine. Outcomes are identical either way; trace output is
-    /// transactional (the abandoned attempt leaves no events), and only the
-    /// work counters show the flip ([`Outcome::peak_units`] ≤ the budget,
-    /// no class splits).
-    ///
-    /// [`ClassStation`]: crate::population::ClassStation
-    pub fn run_with_population<T: Tracer + ?Sized>(
-        &self,
-        protocol: &dyn Protocol,
-        pattern: &WakePattern,
-        run_seed: u64,
-        population: &mut dyn Population,
-        tracer: &mut T,
-    ) -> Result<Outcome, SimError> {
         let budget = self
             .cfg
             .split_budget
             .unwrap_or_else(|| (pattern.k() as u64 / 2).max(4096));
+        let units = ClassUnits::new(pattern, budget, self.cfg.per_station_detail);
         let mut buffer = BufferTracer::new(tracer);
-        match self.run_classes(protocol, pattern, run_seed, population, &mut buffer, budget)? {
-            ClassRun::Done(out) => {
+        match self.run_units(protocol, pattern, run_seed, units, &mut buffer) {
+            Ok(out) => {
                 buffer.flush();
-                Ok(*out)
+                Ok(out)
             }
-            ClassRun::BudgetExceeded => {
+            Err(Abandoned) => {
                 buffer.discard();
-                self.run_concrete(protocol, pattern, run_seed, tracer)
+                Ok(concrete(tracer))
             }
         }
     }
 
-    /// The class engine proper: one attempt under a live-unit `budget`.
-    /// Returns [`ClassRun::BudgetExceeded`] the moment the unit count
-    /// crosses the budget — at batch admission or at any split site — so
-    /// the wrapper can fall back to the concrete engine.
-    fn run_classes<T: Tracer + ?Sized>(
+    /// The event loop, over either unit store.
+    fn run_units<S: Units, T: Tracer + ?Sized>(
         &self,
         protocol: &dyn Protocol,
         pattern: &WakePattern,
         run_seed: u64,
-        population: &mut dyn Population,
+        mut units: S,
         tracer: &mut T,
-        budget: u64,
-    ) -> Result<ClassRun, SimError> {
-        use crate::population::ClassStation;
+    ) -> Result<Outcome, S::Abandon> {
+        let cfg = &self.cfg;
+        let mut rs = RunState::new(cfg, pattern, run_seed, &units, tracer);
+        let mut hints = HintIndex::new(cfg.engine, units.expected_units());
+        let mut policy = Adaptive::default();
+        // Transcripts need individual transmitter IDs — as does capture,
+        // whose winner is drawn from the contender list; everyone else
+        // runs on weighted counts.
+        let mut tally = TxTally::new(
+            units.collects_ids() || cfg.record_transcript || cfg.channel.capture_ppm > 0,
+        );
 
-        self.validate(pattern)?;
-        let mut trace = TraceCtx::new(tracer);
-        let (mut wm_heap, mut wm_units) = (0u64, 0u64);
-
-        let s = pattern.s();
-        let batches = pattern.batches_by_slot();
-        let total_stations = pattern.k();
-        let mut next_batch = 0usize; // index into `batches`
-        let mut units: Vec<Box<dyn ClassStation>> = Vec::new();
-        let mut transcript = self.cfg.record_transcript.then(Transcript::new);
-        let detail = self.cfg.per_station_detail;
-        // Transcripts and per-station detail need individual transmitter
-        // IDs — as does capture, whose winner is drawn from the contender
-        // list; mega runs use weighted counts only.
-        let mut tally =
-            TxTally::new(detail || self.cfg.record_transcript || self.cfg.channel.capture_ppm > 0);
-
-        let mut transmissions = 0u64;
-        let mut collisions = 0u64;
-        let mut silent_slots = 0u64;
-        let mut first_success = None;
-        let mut winner = None;
-        let mut slots_simulated = 0u64;
-        let mut polls = 0u64;
-        let mut skipped_slots = 0u64;
-        let mut dense_steps = 0u64;
-        let mut peak_units = 0u64;
-        let mut resolved: Vec<(StationId, Slot)> = Vec::new();
-        let mut all_resolved_at = None;
-
-        // Channel-fault and churn plumbing — same derivations as the
-        // concrete engine, so both perturb identical slots and process
-        // identical crash/re-wake events.
-        let fault_seed = derive_seed(run_seed, FAULT_STREAM);
-        let mishear_armed = self.cfg.channel.false_collision_ppm > 0
-            && self.cfg.feedback == FeedbackModel::CollisionDetection;
-        let mut faults = FaultCounts::default();
-        let mut crashes: Vec<(Slot, StationId)> = Vec::new();
-        let mut rewakes: Vec<(Slot, StationId)> = Vec::new();
-        if !self.cfg.churn.is_empty() {
-            for (sigma, members) in batches.iter() {
-                for id in members.iter() {
-                    if let Some((crash, rewake)) = self.cfg.churn.fate(run_seed, id, *sigma) {
-                        crashes.push((crash, id));
-                        if let Some(r) = rewake {
-                            rewakes.push((r, id));
-                        }
-                    }
-                }
-            }
-            crashes.sort_unstable();
-            rewakes.sort_unstable();
-        }
-        let rewake_seed = derive_seed(run_seed, REWAKE_STREAM);
-        let mut next_crash = 0usize;
-        let mut next_rewake = 0usize;
-
-        // Per-station transmission counts in wake order (detail mode only —
-        // the table is O(k) by nature).
-        let mut tx_counts: Vec<(StationId, u64)> = Vec::new();
-        // lint: allow(default-hash-state) — lookup-only index into the wake-ordered tx_counts vec; never iterated
-        let mut tx_index: HashMap<StationId, usize> = HashMap::new();
-
-        // Sparse until any unit answers TxHint::Dense or a malformed scope,
-        // which locks dense polling permanently (no adaptive policy here).
-        let mut sparse = self.cfg.engine == EngineMode::Auto;
-        // Min-heap of (due slot, index into `units`, hint epoch) — exactly
-        // the concrete engine's discipline, one entry per unit.
-        let mut heap: BinaryHeap<Reverse<(Slot, usize, u64)>> = BinaryHeap::new();
-        let mut hint_states: Vec<HintState> = Vec::new();
-        let mut success_scoped: Vec<usize> = Vec::new();
-        let mut polled: Vec<usize> = Vec::new();
-        let mut requery: Vec<usize> = Vec::new();
-
-        // Append `count` silent-slot records starting at `from`.
-        fn record_silence(transcript: &mut Option<Transcript>, from: Slot, count: u64) {
-            if let Some(tr) = transcript.as_mut() {
-                for slot in from..from + count {
-                    tr.push(SlotRecord {
-                        slot,
-                        transmitters: Vec::new(),
-                        outcome: SlotOutcome::Silence,
-                    });
-                }
-            }
-        }
-
-        let mut t = s;
-        'slots: while slots_simulated < self.cfg.max_slots {
-            // Admit batches due at or before t (batches are slot-sorted).
-            while next_batch < batches.len() && batches[next_batch].0 <= t {
-                let (sigma, members) = &batches[next_batch];
-                trace.wake(t, members.count());
-                if detail {
-                    for id in members.iter() {
-                        tx_index.insert(id, tx_counts.len());
-                        tx_counts.push((id, 0));
-                    }
-                }
-                for mut unit in population.admit(protocol, members, run_seed) {
-                    unit.wake(*sigma);
-                    let idx = units.len();
-                    hint_states.push(HintState::new());
-                    if sparse
-                        && install_hint(
-                            unit.next_transmission(t),
-                            idx,
-                            t,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                    {
-                        sparse = false;
-                        heap.clear();
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t,
-                            dense: true,
-                        });
-                    }
-                    units.push(unit);
-                }
-                next_batch += 1;
-            }
-            // Crash stations fated to die at or before t: remove the member
-            // from its class. Classes that cannot (protocol-owned
-            // aggregates answer [`MemberRemoval::Unsupported`]) abandon the
-            // attempt wholesale — the concrete engine handles churn
-            // natively. An emptied unit is replaced by an inert
-            // [`DeadClass`] so indices stay stable.
-            while let Some(&(cslot, cid)) = crashes.get(next_crash) {
-                if cslot > t {
+        let mut t = pattern.s();
+        'slots: while rs.out.slots_simulated < cfg.max_slots {
+            // Admit the arrivals due by t and arm them.
+            let batch_start = units.len();
+            let woken = units.admit(protocol, t, run_seed);
+            rs.trace.wake(t, woken);
+            hints.grow(units.len());
+            let batch = units.len() - batch_start;
+            for idx in batch_start..units.len() {
+                if !hints.sparse {
                     break;
                 }
-                next_crash += 1;
-                let mut hit = None;
-                for (idx, unit) in units.iter_mut().enumerate() {
-                    match unit.remove_member(cid) {
-                        MemberRemoval::NotMember => {}
-                        MemberRemoval::Removed { emptied } => {
-                            hit = Some((idx, emptied));
-                            break;
-                        }
-                        MemberRemoval::Unsupported => return Ok(ClassRun::BudgetExceeded),
+                policy.win_cost += HINT_COST;
+                let due = hints.arm(units.hint(idx, t), idx, t, &mut rs.trace);
+                // Wake-time burst detection: a batch arrival whose member
+                // is due immediately has nothing to skip — drop straight
+                // into dense stepping instead of paying hint queries for
+                // the rest of the batch.
+                if S::ADAPTIVE && batch >= 2 && due.is_some_and(|d| d <= t + 1) {
+                    rs.open_burst(&mut hints, &mut policy, idx + 1, t);
+                }
+            }
+            // Churn due by t: crashes, then re-wakes as fresh instances.
+            while let Some((slot, id)) = rs.churn.crash_due(t) {
+                if let Some(idx) = units.crash(id)? {
+                    // The unit's schedule changed: supersede its hint.
+                    if hints.sparse {
+                        hints.arm(units.hint(idx, t), idx, t, &mut rs.trace);
+                    } else {
+                        hints.supersede(idx);
                     }
                 }
-                if let Some((idx, emptied)) = hit {
-                    if let Some(unit) = units.get_mut(idx) {
-                        if emptied {
-                            *unit = Box::new(DeadClass);
-                        }
-                        if sparse {
-                            // The unit's schedule changed: supersede its
-                            // hint and re-arm it from t.
-                            if install_hint(
-                                unit.next_transmission(t),
-                                idx,
-                                t,
-                                &mut heap,
-                                &mut hint_states,
-                                &mut success_scoped,
-                            )
-                            .is_err()
-                            {
-                                sparse = false;
-                                heap.clear();
-                                trace.engine_event(TraceEvent::ModeSwitch {
-                                    slot: t,
-                                    dense: true,
-                                });
-                            }
-                        } else if let Some(hs) = hint_states.get_mut(idx) {
-                            hs.epoch += 1;
-                            hs.success_scoped = false;
-                        }
-                    }
-                }
-                // Count and trace the crash even when no unit held the
-                // member (it already retired out of its class): the
-                // concrete engine keeps retired stations in `awake`, so it
-                // counts the crash — fault accounting is engine-path-
-                // independent.
-                faults.churn_crashes += 1;
-                trace.churn_crash(cslot, cid);
+                // Counted even when no unit held the member any more (it
+                // retired out of its class): churn counts are
+                // path-independent.
+                rs.out.faults.churn_crashes += 1;
+                rs.trace.churn_crash(slot, id);
             }
-            // Re-wake crashed stations as fresh single-member units under
-            // the re-wake seed stream (matching the concrete engine's
-            // re-wake instances). Transmission counts accumulate into the
-            // station's original detail row.
-            while let Some(&(rslot, rid)) = rewakes.get(next_rewake) {
-                if rslot > t {
-                    break;
-                }
-                next_rewake += 1;
-                if detail && !tx_index.contains_key(&rid) {
-                    tx_index.insert(rid, tx_counts.len());
-                    tx_counts.push((rid, 0));
-                }
-                let members = Members::from_sorted_ids(&[rid]);
-                for mut unit in population.admit(protocol, &members, rewake_seed) {
-                    unit.wake(rslot);
-                    let idx = units.len();
-                    hint_states.push(HintState::new());
-                    if sparse
-                        && install_hint(
-                            unit.next_transmission(t),
-                            idx,
-                            t,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                    {
-                        sparse = false;
-                        heap.clear();
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t,
-                            dense: true,
-                        });
-                    }
-                    units.push(unit);
-                }
-                faults.churn_rewakes += 1;
-                trace.churn_rewake(rslot, rid);
-            }
-            if units.len() as u64 > budget {
-                return Ok(ClassRun::BudgetExceeded);
-            }
-            peak_units = peak_units.max(units.len() as u64);
-            if trace.wants(TraceKind::Watermark) {
-                let (h, u) = (heap.len() as u64, units.len() as u64);
-                if h > wm_heap || u > wm_units {
-                    wm_heap = wm_heap.max(h);
-                    wm_units = wm_units.max(u);
-                    trace.engine_event(TraceEvent::Watermark {
-                        slot: t,
-                        heap: wm_heap,
-                        units: wm_units,
-                    });
-                }
-            }
-
-            // Fast-forward: if nobody is awake, jump to the next batch —
-            // but never past the slot cap.
-            if units.is_empty() {
-                match batches.get(next_batch) {
-                    Some(&(sigma, _)) => {
-                        let gap = sigma - t;
-                        let remaining = self.cfg.max_slots - slots_simulated;
-                        if gap >= remaining {
-                            trace.silence(t, remaining);
-                            slots_simulated += remaining;
-                            skipped_slots += remaining;
-                            break 'slots;
-                        }
-                        trace.silence(t, gap);
-                        slots_simulated += gap;
-                        skipped_slots += gap;
-                        t = sigma;
-                        continue 'slots;
-                    }
-                    None => break 'slots,
-                }
-            }
-
-            if sparse {
-                // Drop heap entries superseded by a newer hint epoch.
-                while let Some(&Reverse((_, idx, epoch))) = heap.peek() {
-                    if hint_states[idx].epoch == epoch {
+            while let Some((slot, id)) = rs.churn.rewake_due(t) {
+                let first = units.len();
+                units.rewake(protocol, id, slot, rs.churn.rewake_seed);
+                hints.grow(units.len());
+                for idx in first..units.len() {
+                    if !hints.sparse {
                         break;
                     }
-                    heap.pop();
+                    policy.win_cost += HINT_COST;
+                    hints.arm(units.hint(idx, t), idx, t, &mut rs.trace);
                 }
-                let next_due = heap.peek().map(|&Reverse((slot, _, _))| slot);
-                let next_arrival = batches.get(next_batch).map(|&(sigma, _)| sigma);
-                let next_churn = crashes
-                    .get(next_crash)
-                    .map(|&(slot, _)| slot)
-                    .into_iter()
-                    .chain(rewakes.get(next_rewake).map(|&(slot, _)| slot))
-                    .min();
-                let event = match next_due
-                    .into_iter()
-                    .chain(next_arrival)
-                    .chain(next_churn)
-                    .min()
-                {
-                    Some(e) => e,
-                    None => {
-                        // No due entries, nobody else wakes, no churn
-                        // pending: the rest of the run is provably silent.
-                        let remaining = self.cfg.max_slots - slots_simulated;
-                        record_silence(&mut transcript, t, remaining);
-                        trace.silence(t, remaining);
-                        slots_simulated += remaining;
-                        silent_slots += remaining;
-                        skipped_slots += remaining;
-                        break 'slots;
-                    }
+                rs.out.faults.churn_rewakes += 1;
+                rs.trace.churn_rewake(slot, id);
+            }
+            units.within_budget()?;
+            rs.watermark(t, hints.heap.len(), units.len());
+            // Full-batch burst test: after a batch arrival, if the earliest
+            // live obligation is due within RESUME_GAP slots, the heap has
+            // nothing to skip right now — run the burst dense.
+            if S::ADAPTIVE
+                && hints.sparse
+                && units.len() - batch_start >= 2
+                && hints.next_due().is_some_and(|due| due < t + RESUME_GAP)
+            {
+                rs.open_burst(&mut hints, &mut policy, units.len(), t);
+            }
+
+            let remaining = cfg.max_slots - rs.out.slots_simulated;
+            if units.len() == 0 {
+                // Dead air: jump to the next arrival, never past the cap.
+                let Some(sigma) = units.next_arrival() else {
+                    break 'slots;
                 };
-                debug_assert!(event >= t, "event {event} behind clock {t}");
-                if event > t {
-                    // Skip the provably silent gap [t, event).
-                    let gap = event - t;
-                    let remaining = self.cfg.max_slots - slots_simulated;
-                    let take = gap.min(remaining);
-                    record_silence(&mut transcript, t, take);
-                    trace.silence(t, take);
-                    slots_simulated += take;
-                    silent_slots += take;
-                    skipped_slots += take;
-                    t += take;
-                    continue 'slots; // re-checks the cap / batch arrivals
+                let gap = (sigma - t).min(remaining);
+                rs.trace.silence(t, gap);
+                rs.out.slots_simulated += gap;
+                rs.out.skipped_slots += gap;
+                t += gap;
+                continue 'slots;
+            }
+
+            if hints.sparse {
+                let next = hints.next_event(units.next_arrival(), rs.churn.next_event());
+                debug_assert!(
+                    next.is_none_or(|e| e >= t),
+                    "event {next:?} behind clock {t}"
+                );
+                if next != Some(t) {
+                    // Skip the provably silent gap to the next event (never
+                    // past the cap). Silence cannot void any scope:
+                    // NextSuccess hints survive (no transmission ⇒ no
+                    // success) and Slot(t') boundaries are heap entries.
+                    // No event at all: no unit will ever transmit, so the
+                    // rest of the run is provably silent.
+                    let gap = next.map_or(remaining, |e| e - t).min(remaining);
+                    rs.silence(t, gap);
+                    rs.out.skipped_slots += gap;
+                    t += gap;
+                    continue 'slots;
                 }
 
                 // Event at t: serve the due entries to a fixpoint (a
                 // re-query may install a hint due at t again).
-                tally.clear();
-                polled.clear();
+                hints.polled.clear();
                 loop {
-                    requery.clear();
-                    while let Some(&Reverse((slot, idx, epoch))) = heap.peek() {
-                        if slot != t {
-                            break;
-                        }
-                        heap.pop();
-                        if hint_states[idx].epoch != epoch {
-                            continue; // stale entry
-                        }
-                        match hint_states[idx].due {
-                            Due::Poll => polled.push(idx),
-                            Due::Requery => requery.push(idx),
-                        }
-                    }
-                    if requery.is_empty() {
+                    hints.take_due(t);
+                    if hints.requery.is_empty() {
                         break;
                     }
-                    trace.engine_event(TraceEvent::HintRequery {
-                        slot: t,
-                        queries: requery.len() as u64,
-                    });
-                    for &idx in &requery {
-                        if install_hint(
-                            units[idx].next_transmission(t),
-                            idx,
-                            t,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                        {
-                            sparse = false;
-                            heap.clear();
-                            trace.engine_event(TraceEvent::ModeSwitch {
-                                slot: t,
-                                dense: true,
-                            });
-                            break;
-                        }
-                    }
-                    if !sparse {
-                        break;
+                    policy.win_cost += HINT_COST * hints.rearm(&mut units, t, &mut rs.trace);
+                    if !hints.sparse {
+                        continue 'slots; // the dense path simulates slot t itself
                     }
                 }
-                if !sparse {
-                    continue 'slots; // dense path simulates slot t itself
-                }
-                if polled.is_empty() {
-                    // Pure re-query event: the slot joins the next silent
-                    // gap instead of being simulated individually.
+                if hints.polled.is_empty() {
+                    // Pure re-query event: nobody claimed slot t after all,
+                    // so it joins the next silent gap. Re-query storms still
+                    // count as sparse work, so a protocol that calls back
+                    // every slot trips the yield test too.
+                    if S::ADAPTIVE && policy.should_burst(rs.out.slots_simulated, units.len()) {
+                        rs.open_burst(&mut hints, &mut policy, units.len(), t);
+                    }
                     continue 'slots;
                 }
 
                 // Transmission event at t: poll exactly the scheduled units
                 // (everyone else is silent by promise).
-                for &idx in &polled {
-                    polls += 1;
-                    units[idx].act(t, &mut tally);
+                tally.clear();
+                for &idx in &hints.polled {
+                    units.act(idx, t, &mut tally);
                 }
-                let contenders = tally.total();
-                transmissions += contenders;
-                let outcome = apply_channel(
-                    &self.cfg.channel,
-                    fault_seed,
-                    t,
-                    slot_outcome(&mut tally),
-                    &mut faults,
-                    &mut trace,
-                );
-                let mishear = mishear_armed
-                    && outcome == SlotOutcome::Silence
-                    && self.cfg.channel.mishears_silence(fault_seed, t);
-                if mishear {
-                    faults.false_collisions += 1;
-                }
-
-                if let Some(tr) = transcript.as_mut() {
-                    tr.push(SlotRecord {
-                        slot: t,
-                        transmitters: tally.sorted_ids().to_vec(),
-                        outcome: outcome.clone(),
-                    });
-                }
-                if detail {
-                    for &id in tally.sorted_ids() {
-                        tx_counts[tx_index[&id]].1 += 1;
+                rs.out.polls += hints.polled.len() as u64;
+                policy.win_cost += hints.polled.len() as u64;
+                let (fb, winner) = rs.settle(t, &mut tally);
+                units.credit(&mut tally);
+                if winner.is_some() {
+                    if cfg.stop == StopRule::FirstSuccess {
+                        break 'slots; // no feedback delivered
                     }
-                }
-
-                slots_simulated += 1;
-                if let Some(w) = outcome.success_id() {
-                    trace.success(t, w);
-                    if first_success.is_none() {
-                        first_success = Some(t);
-                        winner = Some(w);
-                    }
-                    if !resolved.iter().any(|&(id, _)| id == w) {
-                        resolved.push((w, t));
-                    }
-                    if self.cfg.stop == StopRule::FirstSuccess {
-                        break 'slots; // matches concrete: no feedback
-                    }
-
-                    // AllResolved: a success is heard by every unit, and
-                    // classes may split on it (the winner retires out).
-                    // Feedback is uniform across stations, so one perceive
-                    // covers the whole floor.
-                    let fb = self.cfg.feedback.perceive(&outcome, false);
-                    let mut born: Vec<Box<dyn ClassStation>> = Vec::new();
-                    for unit in units.iter_mut() {
-                        born.append(&mut unit.feedback(t, fb));
-                    }
-                    let first_new = units.len();
-                    for nu in born {
-                        hint_states.push(HintState::new());
-                        units.push(nu);
-                    }
-                    if units.len() > first_new {
-                        trace.engine_event(TraceEvent::ClassSplit {
-                            slot: t,
-                            born: (units.len() - first_new) as u64,
-                        });
-                    }
-                    if units.len() as u64 > budget {
-                        return Ok(ClassRun::BudgetExceeded);
-                    }
-                    peak_units = peak_units.max(units.len() as u64);
-                    if resolved.len() == total_stations && next_batch == batches.len() {
-                        all_resolved_at = Some(t);
+                    // AllResolved: a success is heard by every unit.
+                    units.feedback_all(t, fb);
+                    if rs.all_resolved(t, units.next_arrival().is_none()) {
                         break 'slots;
                     }
-
-                    // The success invalidates every NextSuccess-scoped
-                    // hint; re-query those, the polled units (entries
-                    // consumed), and newborn splits, from t + 1.
-                    requery.clear();
-                    for idx in success_scoped.drain(..) {
-                        if hint_states[idx].success_scoped {
-                            hint_states[idx].success_scoped = false;
-                            requery.push(idx);
-                        }
-                    }
-                    requery.extend(polled.iter().copied());
-                    requery.extend(first_new..units.len());
-                    requery.sort_unstable();
-                    requery.dedup();
-                    trace.engine_event(TraceEvent::HintRequery {
-                        slot: t + 1,
-                        queries: requery.len() as u64,
-                    });
-                    for &idx in &requery {
-                        if install_hint(
-                            units[idx].next_transmission(t + 1),
-                            idx,
-                            t + 1,
-                            &mut heap,
-                            &mut hint_states,
-                            &mut success_scoped,
-                        )
-                        .is_err()
-                        {
-                            sparse = false;
-                            heap.clear();
-                            trace.engine_event(TraceEvent::ModeSwitch {
-                                slot: t + 1,
-                                dense: true,
-                            });
-                            break;
-                        }
-                    }
-                    t += 1;
-                    continue 'slots;
-                }
-
-                match &outcome {
-                    SlotOutcome::Collision(_) => {
-                        collisions += 1;
-                        trace.collision(t, contenders);
-                    }
-                    SlotOutcome::Silence => {
-                        silent_slots += 1;
-                        trace.silence(t, 1);
-                    }
-                    SlotOutcome::Success(_) => unreachable!("handled above"),
-                }
-
-                // Non-success feedback goes only to the polled units (the
-                // concrete sparse contract); splits are possible here too.
-                let fb = if mishear {
-                    Feedback::Noise
                 } else {
-                    self.cfg.feedback.perceive(&outcome, false)
-                };
-                let mut born: Vec<Box<dyn ClassStation>> = Vec::new();
-                for &idx in &polled {
-                    born.append(&mut units[idx].feedback(t, fb));
+                    // Non-success feedback goes only to the polled units:
+                    // Forever-scoped units are oblivious, NextSuccess-scoped
+                    // ones must ignore anything but a success, by contract.
+                    for &idx in &hints.polled {
+                        units.feedback(idx, t, fb);
+                    }
                 }
                 let first_new = units.len();
-                for nu in born {
-                    hint_states.push(HintState::new());
-                    units.push(nu);
-                }
-                if units.len() > first_new {
-                    trace.engine_event(TraceEvent::ClassSplit {
-                        slot: t,
-                        born: (units.len() - first_new) as u64,
-                    });
-                }
-                if units.len() as u64 > budget {
-                    return Ok(ClassRun::BudgetExceeded);
-                }
-                peak_units = peak_units.max(units.len() as u64);
-
-                // Re-arm the polled units (entries consumed) and newborn
-                // splits from t + 1; nothing else was invalidated.
-                requery.clear();
-                requery.extend(polled.iter().copied());
-                requery.extend(first_new..units.len());
-                trace.engine_event(TraceEvent::HintRequery {
-                    slot: t + 1,
-                    queries: requery.len() as u64,
-                });
-                for &idx in &requery {
-                    if install_hint(
-                        units[idx].next_transmission(t + 1),
-                        idx,
-                        t + 1,
-                        &mut heap,
-                        &mut hint_states,
-                        &mut success_scoped,
-                    )
-                    .is_err()
+                adopt_splits(&mut units, &mut hints, &mut rs, t)?;
+                hints.queue_requery(winner.is_some(), first_new..units.len());
+                let queries = hints.rearm(&mut units, t + 1, &mut rs.trace);
+                if winner.is_some() {
+                    // A success reshapes the hint landscape (retirement,
+                    // rescheduling): restart the yield window rather than
+                    // let pre-success burstiness linger. Its broadcast
+                    // re-arms are the price of the event, not per-slot
+                    // overhead, so they are not charged.
+                    policy.restart(rs.out.slots_simulated);
+                } else {
+                    policy.win_cost += HINT_COST * queries;
+                    if S::ADAPTIVE
+                        && hints.sparse
+                        && policy.should_burst(rs.out.slots_simulated, units.len())
                     {
-                        sparse = false;
-                        heap.clear();
-                        trace.engine_event(TraceEvent::ModeSwitch {
-                            slot: t + 1,
-                            dense: true,
-                        });
-                        break;
+                        rs.open_burst(&mut hints, &mut policy, units.len(), t + 1);
                     }
                 }
                 t += 1;
                 continue 'slots;
             }
 
-            // Dense path: poll every unit every slot.
-            tally.clear();
-            for unit in units.iter_mut() {
-                polls += 1;
-                unit.act(t, &mut tally);
-            }
-            let contenders = tally.total();
-            transmissions += contenders;
-            let outcome = apply_channel(
-                &self.cfg.channel,
-                fault_seed,
-                t,
-                slot_outcome(&mut tally),
-                &mut faults,
-                &mut trace,
-            );
-            let mishear = mishear_armed
-                && outcome == SlotOutcome::Silence
-                && self.cfg.channel.mishears_silence(fault_seed, t);
-            if mishear {
-                faults.false_collisions += 1;
-            }
-
-            if let Some(tr) = transcript.as_mut() {
-                tr.push(SlotRecord {
-                    slot: t,
-                    transmitters: tally.sorted_ids().to_vec(),
-                    outcome: outcome.clone(),
-                });
-            }
-            if detail {
-                for &id in tally.sorted_ids() {
-                    tx_counts[tx_index[&id]].1 += 1;
-                }
-            }
-
-            slots_simulated += 1;
-            dense_steps += 1;
-            let fb = if mishear {
-                Feedback::Noise
-            } else {
-                self.cfg.feedback.perceive(&outcome, false)
+            // Dense stepping: a word tile when the kernel is live (always
+            // under EngineMode::Bitslab, and in Auto burst windows that
+            // survived their scalar warmup), else one scalar slot polling
+            // every unit. Both converge on the adaptive tail below.
+            let kernel = match cfg.engine {
+                EngineMode::Bitslab => true,
+                EngineMode::Auto => !hints.locked && policy.kernel_warm(),
+                EngineMode::Dense => false,
             };
-            match &outcome {
-                SlotOutcome::Success(w) => {
-                    trace.success(t, *w);
-                    if first_success.is_none() {
-                        first_success = Some(t);
-                        winner = Some(*w);
+            let tile = if kernel {
+                // Tile horizon: the next arrival or churn event (both are
+                // processed at the loop top), the cap, and — under Auto —
+                // the burst window's own expiry.
+                let bounds = [units.next_arrival(), rs.churn.next_event()];
+                let mut limit = bounds.into_iter().flatten().fold(t + remaining, Slot::min);
+                if cfg.engine == EngineMode::Auto {
+                    limit = limit.min(t + policy.burst_remaining.max(1));
+                }
+                units.word_tile(t, limit, &mut rs, &mut tally)
+            } else {
+                None
+            };
+            let (stepped, success) = match tile {
+                Some(Tile::Stop) => break 'slots,
+                Some(Tile::Ran { end, success }) => {
+                    let stepped = end - t;
+                    t = end;
+                    (stepped, success)
+                }
+                Some(Tile::Unplannable) | None => {
+                    if tile.is_some() {
+                        hints.lock(t, &mut rs.trace);
                     }
-                    if !resolved.iter().any(|&(id, _)| id == *w) {
-                        resolved.push((*w, t));
+                    tally.clear();
+                    rs.out.polls += units.act_all(t, &mut tally);
+                    let (fb, winner) = rs.settle(t, &mut tally);
+                    units.credit(&mut tally);
+                    rs.out.dense_steps += 1;
+                    if winner.is_some() && cfg.stop == StopRule::FirstSuccess {
+                        break 'slots;
                     }
-                    match self.cfg.stop {
-                        StopRule::FirstSuccess => break 'slots,
-                        StopRule::AllResolved => {
-                            if resolved.len() == total_stations && next_batch == batches.len() {
-                                all_resolved_at = Some(t);
-                                // Deliver the final feedback so the winner
-                                // learns of its own success, then stop.
-                                for unit in units.iter_mut() {
-                                    let _ = unit.feedback(t, fb);
-                                }
-                                break 'slots;
-                            }
+                    // Feedback reaches every unit — on the final success
+                    // too, so the winner learns of it.
+                    units.feedback_all(t, fb);
+                    if winner.is_some() && rs.all_resolved(t, units.next_arrival().is_none()) {
+                        break 'slots;
+                    }
+                    adopt_splits(&mut units, &mut hints, &mut rs, t)?;
+                    t += 1;
+                    (1, winner.is_some())
+                }
+            };
+
+            // Adaptive burst window bookkeeping (never once dense is
+            // locked): at window expiry — and early at success events,
+            // which reshape the hint landscape — re-probe whether sparsity
+            // pays again, re-querying every unit for a fresh hint from t.
+            if S::ADAPTIVE && !hints.locked {
+                policy.burst_remaining = policy.burst_remaining.saturating_sub(stepped);
+                if policy.burst_remaining == 0 || success {
+                    hints.clear();
+                    hints.requery.clear();
+                    hints.requery.extend(0..units.len());
+                    hints.rearm(&mut units, t, &mut rs.trace);
+                    if !hints.locked {
+                        // Resume sparse only when there is an actual gap to
+                        // skip (or provable silence to the cap).
+                        let ahead = [hints.next_due(), units.next_arrival()];
+                        let next = ahead.into_iter().flatten().min();
+                        if next.is_none_or(|e| e >= t + RESUME_GAP) {
+                            hints.sparse = true;
+                            rs.out.mode_switches += 1;
+                            policy.resume_sparse(rs.out.slots_simulated);
+                            rs.trace.engine_event(TraceEvent::BurstClose { slot: t });
+                            rs.trace.engine_event(TraceEvent::ModeSwitch {
+                                slot: t,
+                                dense: false,
+                            });
+                        } else {
+                            policy.backoff(units.len());
+                            hints.heap.clear();
+                            rs.trace.engine_event(TraceEvent::BurstOpen {
+                                slot: t,
+                                window: policy.burst_len,
+                            });
                         }
                     }
                 }
-                SlotOutcome::Collision(_) => {
-                    collisions += 1;
-                    trace.collision(t, contenders);
-                }
-                SlotOutcome::Silence => {
-                    silent_slots += 1;
-                    trace.silence(t, 1);
-                }
             }
-
-            // Deliver feedback to every unit; append any splits (they are
-            // polled from the next slot, like everyone else on the dense
-            // path — the members they carry already received this slot's
-            // feedback through their parent).
-            let mut born: Vec<Box<dyn ClassStation>> = Vec::new();
-            for unit in units.iter_mut() {
-                born.append(&mut unit.feedback(t, fb));
-            }
-            let first_new = units.len();
-            for nu in born {
-                hint_states.push(HintState::new());
-                units.push(nu);
-            }
-            if units.len() > first_new {
-                trace.engine_event(TraceEvent::ClassSplit {
-                    slot: t,
-                    born: (units.len() - first_new) as u64,
-                });
-            }
-            if units.len() as u64 > budget {
-                return Ok(ClassRun::BudgetExceeded);
-            }
-            peak_units = peak_units.max(units.len() as u64);
-            t += 1;
         }
 
-        trace.run_end(slots_simulated, first_success);
-        Ok(ClassRun::Done(Box::new(Outcome {
-            s,
-            first_success,
-            winner,
-            slots_simulated,
-            transmissions,
-            per_station_tx: tx_counts,
-            collisions,
-            silent_slots,
-            polls,
-            skipped_slots,
-            dense_steps,
-            word_slots: 0,
-            mode_switches: 0,
-            peak_units,
-            transcript,
-            resolved,
-            all_resolved_at,
-            faults,
-        })))
+        rs.trace
+            .run_end(rs.out.slots_simulated, rs.out.first_success);
+        let mut out = rs.out;
+        out.per_station_tx = units.into_per_station_tx();
+        Ok(out)
     }
 }
 
@@ -3539,16 +2871,18 @@ mod tests {
     fn all_resolved_runs_sparse_with_success_scoped_hints() {
         let n = 128u32;
         let pattern = WakePattern::simultaneous(&ids(&[5, 70, 126]), 3).unwrap();
-        let mk = |mode| {
+        let mk_in = |mode, population| {
             Simulator::new(
                 SimConfig::new(n)
                     .until_all_resolved()
                     .with_transcript()
-                    .with_engine(mode),
+                    .with_engine(mode)
+                    .with_population(population),
             )
             .run(&HintedRetiringRr { n }, &pattern, 0)
             .unwrap()
         };
+        let mk = |mode| mk_in(mode, PopulationMode::Concrete);
         let auto = mk(EngineMode::Auto);
         let dense = mk(EngineMode::Dense);
         assert_eq!(auto.first_success, dense.first_success);
@@ -3567,6 +2901,26 @@ mod tests {
         let stepped = auto.skipped_slots + auto.dense_steps + auto.word_slots;
         assert!(stepped <= auto.slots_simulated);
         assert!(stepped + auto.polls >= auto.slots_simulated);
+
+        // Class runs keep the adaptive policy and the word kernel off: the
+        // same outcome, but no burst windows and no word tiles, even where
+        // the concrete run takes both.
+        assert!(auto.mode_switches > 0, "concrete run never burst");
+        assert!(mk(EngineMode::Bitslab).word_slots > 0, "kernel never ran");
+        for mode in [EngineMode::Auto, EngineMode::Bitslab] {
+            let concrete = mk(mode);
+            let classes = mk_in(mode, PopulationMode::Classes);
+            assert_eq!(classes.word_slots, 0, "{mode:?}");
+            assert_eq!(classes.mode_switches, 0, "{mode:?}");
+            assert_eq!(classes.first_success, concrete.first_success, "{mode:?}");
+            assert_eq!(classes.resolved, concrete.resolved, "{mode:?}");
+            assert_eq!(
+                classes.all_resolved_at, concrete.all_resolved_at,
+                "{mode:?}"
+            );
+            assert_eq!(classes.transcript, concrete.transcript, "{mode:?}");
+            assert_eq!(classes.per_station_tx, concrete.per_station_tx, "{mode:?}");
+        }
     }
 
     /// A station that stays silent until it hears *any* success, then
@@ -3951,5 +3305,72 @@ mod tests {
             .run(&Fragmenting, &pattern, 0)
             .unwrap();
         assert_eq!(out.peak_units, 8, "small run should not flip");
+    }
+
+    #[test]
+    fn churn_crash_on_a_class_without_member_removal_falls_back_to_concrete() {
+        use crate::pattern::ChurnEntry;
+        use crate::tracer::RecordingTracer;
+        // `FragClass` has no `remove_member` (MemberRemoval::Unsupported).
+        // The collision at slot 5 splits it, then station 0 crashes at slot
+        // 6: the class attempt must be abandoned and the pattern re-run on
+        // concrete stations, leaving no trace of the attempt behind.
+        let n = 16u32;
+        let k: Vec<StationId> = (0..8).map(StationId).collect();
+        let pattern = WakePattern::simultaneous(&k, 5).unwrap();
+        let churn = ChurnScript::scripted(vec![ChurnEntry {
+            id: StationId(0),
+            crash: 6,
+            rewake: None,
+        }])
+        .unwrap();
+        let cfg = SimConfig::new(n)
+            .with_max_slots(64)
+            .with_transcript()
+            .with_churn(churn);
+        let traced = |cfg: SimConfig| {
+            let mut tracer = RecordingTracer::new();
+            let out = Simulator::new(cfg)
+                .run_traced(&Fragmenting, &pattern, 0, &mut tracer)
+                .unwrap();
+            (out, tracer)
+        };
+        let (concrete, concrete_trace) = traced(cfg.clone());
+        let (classes, classes_trace) = traced(cfg.clone().with_classes());
+
+        // Without churn the class run does split: the abandoned attempt
+        // had an event to leak.
+        let (_, unchurned) = traced(cfg.with_churn(ChurnScript::none()).with_classes());
+        let splits = |tr: &RecordingTracer| {
+            tr.events()
+                .iter()
+                .filter(|e| e.kind() == TraceKind::ClassSplit)
+                .count()
+        };
+        assert!(splits(&unchurned) > 0, "fragmentation did not split");
+        assert_eq!(
+            splits(&classes_trace),
+            0,
+            "abandoned attempt leaked a split"
+        );
+
+        assert_eq!(concrete.faults.churn_crashes, 1);
+        assert_eq!(classes.first_success, concrete.first_success);
+        assert_eq!(
+            classes.first_success,
+            Some(7),
+            "station 1 wins once 0 crashed"
+        );
+        assert_eq!(classes.transcript, concrete.transcript);
+        assert_eq!(classes.per_station_tx, concrete.per_station_tx);
+        assert_eq!(classes.faults, concrete.faults);
+        let det = |tr: &RecordingTracer| {
+            tr.events()
+                .iter()
+                .copied()
+                .filter(|e| e.kind().deterministic())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(det(&classes_trace), det(&concrete_trace));
     }
 }

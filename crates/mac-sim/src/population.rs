@@ -18,12 +18,11 @@
 //!   [`TxHint`]s) and **splits lazily** when
 //!   feedback makes members diverge (e.g. one member succeeds and retires
 //!   while the rest stay contending);
-//! * [`Population`] — the partitioning strategy: how a wake batch becomes
-//!   simulation units. [`ConcretePopulation`] produces one
-//!   [`SingletonClass`] per station (the historical semantics, unit by
-//!   unit); [`ClassPopulation`] asks the protocol for a class-aggregated
-//!   unit via [`Protocol::class_station`](crate::station::Protocol) and
-//!   falls back to singletons when the protocol has none.
+//! * [`PopulationMode`] — which unit store the engine's one event loop
+//!   runs: one concrete station per woken station, or classes. The class
+//!   store asks the protocol for a class-aggregated unit per wake batch
+//!   via [`Protocol::class_station`](crate::station::Protocol) and falls
+//!   back to one [`SingletonClass`] per station when the protocol has none.
 //!
 //! Outcomes and transcripts are **bit-identical** across populations; only
 //! the work/memory counters ([`Outcome::polls`](crate::engine::Outcome),
@@ -34,8 +33,7 @@
 
 use crate::channel::Feedback;
 use crate::ids::{Slot, StationId};
-use crate::rng::derive_seed;
-use crate::station::{Protocol, Station, TxHint};
+use crate::station::{Station, TxHint};
 
 // ---------------------------------------------------------------------------
 // Members: run-length encoded station sets
@@ -472,93 +470,22 @@ impl ClassStation for SingletonClass {
 }
 
 // ---------------------------------------------------------------------------
-// Population: partitioning wake batches into units
+// PopulationMode: which unit store the engine runs
 // ---------------------------------------------------------------------------
 
-/// Which population the engine simulates (see [`Population`]).
+/// Which population the engine simulates: the unit store its event loop
+/// admits woken stations into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PopulationMode {
     /// One boxed [`Station`] per woken station — the historical engine
     /// (adaptive sparse/dense), O(k) memory.
     #[default]
     Concrete,
-    /// Class-aggregated units via [`Protocol::class_station`], singleton
-    /// fallback per station otherwise — O(classes) memory for protocols
-    /// with class support.
+    /// Class-aggregated units via
+    /// [`Protocol::class_station`](crate::station::Protocol::class_station), one
+    /// [`SingletonClass`] per station otherwise — O(classes) memory for
+    /// protocols with class support.
     Classes,
-}
-
-/// Strategy for partitioning one wake batch (all stations waking at the
-/// same slot) into simulation units.
-pub trait Population {
-    /// Instantiate the units covering `batch`. Units are returned unwoken;
-    /// the engine calls [`ClassStation::wake`] as it admits them.
-    fn admit(
-        &mut self,
-        protocol: &dyn Protocol,
-        batch: &Members,
-        run_seed: u64,
-    ) -> Vec<Box<dyn ClassStation>>;
-
-    /// Population name, for diagnostics.
-    fn name(&self) -> &'static str;
-}
-
-/// One [`SingletonClass`] per station: the concrete semantics, unit by
-/// unit. Useful as the ground-truth population for equivalence testing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ConcretePopulation;
-
-impl Population for ConcretePopulation {
-    fn admit(
-        &mut self,
-        protocol: &dyn Protocol,
-        batch: &Members,
-        run_seed: u64,
-    ) -> Vec<Box<dyn ClassStation>> {
-        batch
-            .iter()
-            .map(|id| singleton(protocol, id, run_seed))
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "concrete"
-    }
-}
-
-/// Class-aggregated units: ask the protocol for one class per batch
-/// ([`Protocol::class_station`]), fall back to singletons when it has
-/// none.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClassPopulation;
-
-impl Population for ClassPopulation {
-    fn admit(
-        &mut self,
-        protocol: &dyn Protocol,
-        batch: &Members,
-        run_seed: u64,
-    ) -> Vec<Box<dyn ClassStation>> {
-        match protocol.class_station(batch, run_seed) {
-            Some(class) => vec![class],
-            None => batch
-                .iter()
-                .map(|id| singleton(protocol, id, run_seed))
-                .collect(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "classes"
-    }
-}
-
-fn singleton(protocol: &dyn Protocol, id: StationId, run_seed: u64) -> Box<dyn ClassStation> {
-    Box::new(SingletonClass::new(
-        id,
-        protocol.station(id, derive_seed(run_seed, u64::from(id.0))),
-    ))
 }
 
 #[cfg(test)]

@@ -282,9 +282,10 @@ pub trait Protocol {
 
     /// Instantiate one class-aggregated unit covering the whole wake batch
     /// `members` (stations waking at the same slot), or `None` if this
-    /// protocol has no class-aggregated form — the engine then falls back
-    /// to one [`SingletonClass`](crate::population::SingletonClass) per
-    /// station, with identical outcomes.
+    /// protocol has no class-aggregated form — the engine's class store
+    /// then admits one
+    /// [`SingletonClass`](crate::population::SingletonClass) per station,
+    /// with identical outcomes.
     ///
     /// Implementations must make the returned unit behave exactly like the
     /// per-member [`station`](Protocol::station)s it stands in for (see
