@@ -36,11 +36,15 @@
 //! * `coin_fill` — PRF membership over one period of the n = 1024,
 //!   k = 1023 wait-and-go schedule, one position at a time
 //!   (`DoublingSchedule::transmits`) vs one 64-position word at a time
-//!   (`DoublingSchedule::fill_word`), with equal hit counts asserted.
+//!   (`DoublingSchedule::fill_word`), with equal hit counts asserted;
+//! * `family_length` — `RandomFamilyBuilder::prescribed_length`, the
+//!   union-bound sizing of a randomized selective family, per call at
+//!   `(n, k)` from the smallest schedule rows to `n = k = 2^22`, each row's
+//!   `m` asserted against `selectors/testdata/family_lengths.txt`.
 //!
-//! Set `BENCH_KERNELS_JSON=<path>` to record the `bitslab_burst` and
-//! `coin_fill` summaries there (one line per group; other groups' lines in
-//! the file are kept).
+//! Set `BENCH_KERNELS_JSON=<path>` to record the `bitslab_burst`,
+//! `coin_fill` and `family_length` summaries there (one line per group;
+//! other groups' lines in the file are kept).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mac_sim::prelude::*;
@@ -692,6 +696,61 @@ fn coin_fill(_c: &mut Criterion) {
     );
 }
 
+fn family_length(_c: &mut Criterion) {
+    // Family sizing: ln Σ_{x=⌈k/2⌉}^{k} C(n, x) at a short-run schedule
+    // cell, at the exact/Stirling switchover, and at the large cells the
+    // class-population runs build. Each row's m must be the pinned one.
+    let pinned = include_str!("../../selectors/testdata/family_lengths.txt");
+    let pinned_m = |n: u32, k: u32| -> usize {
+        pinned
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| {
+                l.split_whitespace()
+                    .map(|w| w.parse().unwrap())
+                    .collect::<Vec<usize>>()
+            })
+            .find(|v| v[0] == n as usize && v[1] == k as usize)
+            .map(|v| v[2])
+            .expect("row missing from the pinned table")
+    };
+    // The fastest of several ~50 ms batches: the per-call times are short
+    // enough for a shared machine's noise to dominate a plain mean.
+    let (batches, batch_s) = if std::env::var_os("BENCH_QUICK").is_some() {
+        (1, 0.0)
+    } else {
+        (10, 0.05)
+    };
+    let rows: Vec<String> = [
+        (256u32, 4u32),
+        (1024, 256),
+        (65536, 4096),
+        (1 << 22, 1 << 22),
+    ]
+    .into_iter()
+    .map(|(n, k)| {
+        let builder = RandomFamilyBuilder::new(n, k);
+        let m = builder.prescribed_length(); // warmup
+        assert_eq!(m, pinned_m(n, k), "family length moved at n={n} k={k}");
+        let mut us = f64::INFINITY;
+        for _ in 0..batches {
+            let t0 = Instant::now();
+            let mut calls = 0u32;
+            while calls == 0 || t0.elapsed().as_secs_f64() < batch_s {
+                black_box(black_box(&builder).prescribed_length());
+                calls += 1;
+            }
+            us = us.min(t0.elapsed().as_secs_f64() * 1e6 / f64::from(calls));
+        }
+        println!(
+            "family_length/n{n}_k{k}  m {m}  {us:.3}us per call (fastest of {batches} batches)"
+        );
+        format!("{{\"row\": \"n{n}_k{k}\", \"m\": {m}, \"us_per_call\": {us:.3}}}")
+    })
+    .collect();
+    write_kernels_json("family_length", "us_per_call", &rows);
+}
+
 fn construction_cache(c: &mut Criterion) {
     // A whole ensemble of wakeup_with_s runs: the doubling schedule up to
     // F_{log n} costs ~650 µs to size and build at n = 4096 — far more
@@ -958,6 +1017,7 @@ criterion_group!(
     trace_overhead,
     adversary_kernels,
     verification_kernels,
-    coin_fill
+    coin_fill,
+    family_length
 );
 criterion_main!(benches);

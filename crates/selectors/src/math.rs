@@ -87,30 +87,73 @@ pub fn next_prime(x: u64) -> u64 {
 ///
 /// Used to size randomized constructions from union bounds without
 /// overflowing; `ln_choose(n, 0) = 0`. Small `min(k, n−k)` is summed
-/// exactly; large arguments use the Stirling-series log-factorial, accurate
-/// to ~1e-12 relative — family sizers call this for every target-set size
-/// up to `k`, so the exact `O(k)` summation would make them `O(k²)` (≈ a
-/// minute per construction at `k = 2^17`, and `n = 2^20` universes were
-/// unbuildable).
+/// exactly in `O(min(k, n−k))`; large arguments use the Stirling-series
+/// log-factorial, accurate to ~1e-12 relative, in `O(1)`. Callers that need
+/// many `k` of one `n` (the family sizer) share that work through one
+/// crate-private row evaluator, which computes the same bits.
 pub fn ln_choose(n: u64, k: u64) -> f64 {
     assert!(k <= n, "ln_choose: k={k} > n={n}");
-    let k = k.min(n - k);
-    if k <= 256 {
-        let mut acc = 0.0f64;
-        for i in 0..k {
-            acc += ((n - i) as f64).ln() - ((i + 1) as f64).ln();
+    LnChooseRow::new(n).ln_choose(k)
+}
+
+/// Largest `min(k, n−k)` that [`ln_choose`] sums exactly.
+const EXACT_MAX: u64 = 256;
+
+/// `ln C(n, k)` for one `n` and many `k`, bit-identical to [`ln_choose`].
+///
+/// The exact path's value for `j = min(k, n−k) ≤ 256` is the running sum
+/// `Σ_{i<j} (ln(n−i) − ln(i+1))` taken in order, so every such value is a
+/// prefix of one sequence: the row keeps that sequence, grown on demand up
+/// to the largest `j` asked. The Stirling path's `ln n!` is computed once.
+pub(crate) struct LnChooseRow {
+    n: u64,
+    /// `exact[j]` is the exact-path `ln C(n, j)` (`exact[0] = 0`), sized
+    /// by the first `j` asked.
+    exact: Vec<f64>,
+    /// `ln n!`, once the Stirling path is first taken.
+    ln_fact_n: Option<f64>,
+}
+
+impl LnChooseRow {
+    /// An empty row for universe size `n`.
+    pub(crate) fn new(n: u64) -> Self {
+        LnChooseRow {
+            n,
+            exact: Vec::new(),
+            ln_fact_n: None,
         }
-        return acc;
     }
-    // k > 256 ⇒ all of n, k, n−k are ≥ 256, deep inside the series' range.
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
+
+    /// `ln C(n, k)` for `k ≤ n`.
+    pub(crate) fn ln_choose(&mut self, k: u64) -> f64 {
+        let n = self.n;
+        debug_assert!(k <= n, "ln_choose: k={k} > n={n}");
+        let k = k.min(n - k);
+        if k <= EXACT_MAX {
+            if self.exact.is_empty() {
+                self.exact.reserve_exact(k as usize + 1);
+                self.exact.push(0.0);
+            }
+            let mut i = self.exact.len() as u64 - 1;
+            let mut acc = self.exact[i as usize];
+            while i < k {
+                acc += ((n - i) as f64).ln() - ((i + 1) as f64).ln();
+                self.exact.push(acc);
+                i += 1;
+            }
+            return self.exact[k as usize];
+        }
+        // k > 256 ⇒ all of n, k, n−k are ≥ 256, deep inside the series' range.
+        let ln_fact_n = *self.ln_fact_n.get_or_insert_with(|| ln_factorial(n));
+        ln_fact_n - ln_factorial(k) - ln_factorial(n - k)
+    }
 }
 
 /// `ln(x!)` by the Stirling series with three correction terms — relative
 /// error below 1e-12 for `x ≥ 256` (callers with smaller `x` take
 /// [`ln_choose`]'s exact path).
 fn ln_factorial(x: u64) -> f64 {
-    debug_assert!(x >= 256);
+    debug_assert!(x >= EXACT_MAX);
     let x = x as f64;
     let ln_2pi = (2.0 * std::f64::consts::PI).ln();
     (x + 0.5) * x.ln() - x + 0.5 * ln_2pi + 1.0 / (12.0 * x) - 1.0 / (360.0 * x.powi(3))
@@ -288,6 +331,37 @@ mod tests {
         let lo = ln_choose(1 << 20, 256);
         let hi = ln_choose(1 << 20, 257);
         assert!(hi > lo && (hi - lo) < 20.0);
+    }
+
+    #[test]
+    fn ln_choose_row_is_bit_identical_in_any_query_order() {
+        // A shared row answers with the bits of a fresh evaluation, whether
+        // it grows its exact prefix upward, downward or in one jump, and
+        // the exact path is the in-order running sum.
+        for n in [1u64, 2, 7, 255, 256, 257, 513, 1 << 20] {
+            let ks: Vec<u64> = (0..=n.min(600)).chain([n / 2, n - 1, n]).collect();
+            let mut up = LnChooseRow::new(n);
+            let mut down = LnChooseRow::new(n);
+            for (&a, &b) in ks.iter().zip(ks.iter().rev()) {
+                assert_eq!(
+                    up.ln_choose(a).to_bits(),
+                    ln_choose(n, a).to_bits(),
+                    "n={n} k={a}"
+                );
+                assert_eq!(
+                    down.ln_choose(b).to_bits(),
+                    ln_choose(n, b).to_bits(),
+                    "n={n} k={b}"
+                );
+            }
+            for k in 0..=(n / 2).min(EXACT_MAX) {
+                let mut acc = 0.0f64;
+                for i in 0..k {
+                    acc += ((n - i) as f64).ln() - ((i + 1) as f64).ln();
+                }
+                assert_eq!(ln_choose(n, k).to_bits(), acc.to_bits(), "n={n} k={k}");
+            }
+        }
     }
 
     #[test]

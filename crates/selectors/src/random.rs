@@ -25,6 +25,28 @@
 //! constants. This is the same existence argument as the paper's §3 citation
 //! of \[25\].
 //!
+//! ## Evaluating the sum from its non-vanishing terms
+//!
+//! `ln Σ` is taken as `max_ln + ln Σ_x exp(l(x) − max_ln)` with
+//! `l(x) = ln C(n,x)` and the terms added in ascending `x`. Only a window
+//! around the peak is evaluated; the result has the bits of the sum over
+//! the whole range. `l` is unimodal with its maximum at `⌊n/2⌋`, so on
+//! `[⌈k/2⌉, k]` it peaks at `x* = clamp(⌊n/2⌋, ⌈k/2⌉, k)` and falls
+//! monotonically on either side. The scan goes outward from `x*` and stops
+//! at the first `x` with `l(x) < l(x*) − 800`; every `x` beyond it has a true
+//! `l` lower still. `ln_choose` is accurate to ~1e-12 relative, an absolute
+//! error below 1e-4 even at `n = 2^24`, so every computed term outside the
+//! window is also below `l(x*) − 799`. Hence
+//!
+//! * the maximum `max_ln ≥ l(x*)` is attained inside the window, and
+//! * each outside term has `l − max_ln < −799`, below the ≈ −745.13 where
+//!   f64 `exp` underflows, so it contributes exactly `+0.0`. Adding `+0.0`
+//!   to a non-negative accumulator leaves its bits unchanged.
+//!
+//! The window spans `O(√n)` terms around `n/2` (≤ ~41k per side at
+//! `n = 2^22`), and at most about `800/ln((n−k)/k)` terms below a peak at
+//! `k < n/2`, against the `k/2` terms of the full range.
+//!
 //! The paper needs such a family only to *exist*. The union bound says more:
 //! all but a `δ` fraction of the ensemble of random `m`-set families is
 //! selective. A family drawn under a fixed PRF seed is one concrete member of
@@ -44,7 +66,7 @@
 
 use crate::bitset::BitSet;
 use crate::family::SelectiveFamily;
-use crate::math::ln_choose;
+use crate::math::LnChooseRow;
 use crate::prf::{coin_threshold, RowPrefix, SeedPrefix};
 use crate::verify::selective_size_range;
 
@@ -94,6 +116,11 @@ impl RandomFamilyBuilder {
     }
 
     /// The length `m` the union bound prescribes for this `(n, k, δ)`.
+    ///
+    /// `ln Σ_{x=⌈k/2⌉}^{k} C(n,x)` is evaluated over the window of `x`
+    /// whose terms do not underflow (see the [module docs](self)): the same
+    /// bits as the sum over the whole range, at a cost of `O(√n)` term
+    /// evaluations instead of `O(k)`.
     pub fn prescribed_length(&self) -> usize {
         if let Some(m) = self.length_override {
             return m;
@@ -102,25 +129,8 @@ impl RandomFamilyBuilder {
             // The trivial (n,1)-selective family is the single full set.
             return 1;
         }
-        // ln of the number of target sets, computed exactly.
-        let mut ln_targets = 0.0f64;
-        let range = selective_size_range(self.n, self.k);
-        let mut acc = 0.0f64; // log-sum-exp accumulation
-        let mut max_ln = f64::NEG_INFINITY;
-        let lns: Vec<f64> = range
-            .map(|x| ln_choose(u64::from(self.n), u64::from(x)))
-            .collect();
-        for &l in &lns {
-            max_ln = max_ln.max(l);
-        }
-        if max_ln > f64::NEG_INFINITY {
-            for &l in &lns {
-                acc += (l - max_ln).exp();
-            }
-            ln_targets = max_ln + acc.ln();
-        }
         let two_e = 2.0 * std::f64::consts::E;
-        let m = two_e * (ln_targets + (1.0 / self.delta).ln());
+        let m = two_e * (ln_target_count(self.n, self.k) + (1.0 / self.delta).ln());
         (m.ceil() as usize).max(1)
     }
 
@@ -150,6 +160,41 @@ impl RandomFamilyBuilder {
             threshold: coin_threshold(self.density()),
         }
     }
+}
+
+/// How far below the peak term `ln C(n, x*)` the window scan stops: every
+/// term further out underflows `exp` to `+0.0` (module docs).
+const UNDERFLOW_MARGIN: f64 = 800.0;
+
+/// `ln Σ_{x=⌈k/2⌉}^{k} C(n,x)`, the log of the number of target sets, by a
+/// log-sum-exp over the window of `x` around the peak whose terms do not
+/// underflow (module docs).
+fn ln_target_count(n: u32, k: u32) -> f64 {
+    let range = selective_size_range(n, k);
+    let (lo, hi) = (u64::from(*range.start()), u64::from(*range.end()));
+    let n = u64::from(n);
+    let mut row = LnChooseRow::new(n);
+    let peak = (n / 2).clamp(lo, hi);
+    let floor = row.ln_choose(peak) - UNDERFLOW_MARGIN;
+    // The terms in ascending x: the left flank is scanned outward from the
+    // peak, then reversed. The up-front reservation is capped, since the
+    // range can be millions of sizes wide while the window is not.
+    let mut lns = Vec::with_capacity(((hi - lo + 1) as usize).min(1 << 12));
+    lns.extend(
+        (lo..peak)
+            .rev()
+            .map(|x| row.ln_choose(x))
+            .take_while(|&l| l >= floor),
+    );
+    lns.reverse();
+    lns.extend(
+        (peak..=hi)
+            .map(|x| row.ln_choose(x))
+            .take_while(|&l| l >= floor),
+    );
+    let max_ln = lns.iter().fold(f64::NEG_INFINITY, |m, &l| m.max(l));
+    let acc = lns.iter().fold(0.0f64, |acc, &l| acc + (l - max_ln).exp());
+    max_ln + acc.ln()
 }
 
 /// An `(n,k)`-selective family represented as a PRF oracle: membership is
@@ -402,5 +447,134 @@ mod tests {
             (mean_size - expected).abs() < expected * 0.2,
             "mean set size {mean_size:.1} vs expected {expected:.1}"
         );
+    }
+
+    /// The full-range `O(k)` evaluation of `prescribed_length` that the
+    /// windowed one replaced: `ln Σ`, and `m` for each `δ`.
+    fn full_range_length(n: u32, k: u32, deltas: &[f64]) -> (f64, Vec<usize>) {
+        let lns: Vec<f64> = selective_size_range(n, k)
+            .map(|x| crate::math::ln_choose(u64::from(n), u64::from(x)))
+            .collect();
+        let mut max_ln = f64::NEG_INFINITY;
+        for &l in &lns {
+            max_ln = max_ln.max(l);
+        }
+        let mut acc = 0.0f64;
+        for &l in &lns {
+            acc += (l - max_ln).exp();
+        }
+        let ln_targets = max_ln + acc.ln();
+        let two_e = 2.0 * std::f64::consts::E;
+        let ms = deltas
+            .iter()
+            .map(|&delta| match k {
+                1 => 1,
+                _ => ((two_e * (ln_targets + (1.0 / delta).ln())).ceil() as usize).max(1),
+            })
+            .collect();
+        (ln_targets, ms)
+    }
+
+    /// Asserts that the windowed `ln Σ` and `m` have the full range's bits.
+    fn assert_window_exact(n: u32, k: u32, deltas: &[f64]) {
+        let (want, want_ms) = full_range_length(n, k, deltas);
+        let got = ln_target_count(n, k);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "ln Σ at n={n} k={k}: {got} vs {want}"
+        );
+        for (&delta, &want_m) in deltas.iter().zip(&want_ms) {
+            let m = RandomFamilyBuilder::new(n, k)
+                .failure_probability(delta)
+                .prescribed_length();
+            assert_eq!(m, want_m, "m at n={n} k={k} δ={delta}");
+        }
+    }
+
+    const DELTAS: [f64; 3] = [1e-9, 1e-4, 0.5];
+
+    #[test]
+    fn windowed_length_is_bit_identical_on_small_universes() {
+        for n in 1..=300u32 {
+            for k in 1..=n {
+                assert_window_exact(n, k, &DELTAS);
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_length_is_bit_identical_near_path_and_range_boundaries() {
+        // k near the exact/Stirling switchover at min(x, n−x) = 256, near
+        // powers of two and near n/2 (where the peak leaves the range).
+        for n in [1024u32, 4096, 65536] {
+            let centres = (1..=16).map(|i| 1u32 << i).chain([n / 2, n]);
+            for c in centres.filter(|&c| c <= n) {
+                for k in c.saturating_sub(3).max(1)..=(c + 3).min(n) {
+                    assert_window_exact(n, k, &DELTAS);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prescribed_lengths_match_the_pinned_table() {
+        // m at the large cells the registry and the benchmarks build,
+        // recorded from the full-range evaluation.
+        let table = include_str!("../testdata/family_lengths.txt");
+        let mut rows = 0;
+        for line in table.lines().filter(|l| !l.starts_with('#')) {
+            let v: Vec<u64> = line
+                .split_whitespace()
+                .map(|w| w.parse().unwrap())
+                .collect();
+            let (n, k) = (v[0] as u32, v[1] as u32);
+            for (delta, want) in [(1e-9, v[2]), (1e-4, v[3])] {
+                let m = RandomFamilyBuilder::new(n, k)
+                    .failure_probability(delta)
+                    .prescribed_length();
+                assert_eq!(m as u64, want, "n={n} k={k} δ={delta}");
+            }
+            rows += 1;
+        }
+        assert_eq!(rows, 106);
+    }
+
+    /// The wide exactness sweep (about a minute in release):
+    /// `cargo test --release -p selectors -- --ignored wide_sweep`.
+    #[test]
+    #[ignore]
+    fn windowed_length_is_bit_identical_wide_sweep() {
+        let mut pairs = 0u64;
+        for n in 1..=700u32 {
+            for k in 1..=n {
+                assert_window_exact(n, k, &[]);
+                pairs += 1;
+            }
+        }
+        let near = |c: u64| [0i64, 1, -1, 3, -3, 7, -7].map(move |d| c as i64 + d);
+        for log_n in 3..=24 {
+            for n in near(1 << log_n)
+                .into_iter()
+                .filter(|&n| n > 700 && n <= 1 << 24)
+            {
+                let n = n as u32;
+                let centres = (0..=log_n)
+                    .map(|j| 1u64 << j)
+                    .chain([u64::from(n / 2), u64::from(n)]);
+                let mut ks: Vec<u32> = centres
+                    .flat_map(near)
+                    .filter(|&k| k >= 1 && k <= i64::from(n))
+                    .map(|k| k as u32)
+                    .collect();
+                ks.sort_unstable();
+                ks.dedup();
+                for k in ks {
+                    assert_window_exact(n, k, &[]);
+                    pairs += 1;
+                }
+            }
+        }
+        println!("{pairs} (n, k) pairs bit-identical");
     }
 }
