@@ -821,6 +821,14 @@ where
 /// shared read-only across runs and work-stealing workers, while per-run
 /// state stays in the stations. Outcomes are bit-identical to the uncached
 /// path — the cache holds only immutable structure.
+///
+/// Sharing contract: a key returns the same handle **while it is
+/// resident**. The cache holds at most 128 entries per kind in 32 sets of
+/// 4 ways, and a set with more than 4 hot keys evicts some of them (they
+/// are rebuilt, identical, when next asked for). A factory that derives a
+/// fresh provider seed from each run seed misses on every run, and each
+/// miss costs the uncached construction plus a few locked inserts; see
+/// the `wakeup_core::cache` module docs for the measured cost.
 pub fn run_ensemble_cached<P, G>(
     spec: &EnsembleSpec,
     cache: &ConstructionCache,
@@ -835,7 +843,8 @@ where
 }
 
 /// [`run_ensemble_stream`] with an ensemble-wide [`ConstructionCache`] —
-/// see [`run_ensemble_cached`] for the sharing contract.
+/// see [`run_ensemble_cached`] for the sharing contract, the residency
+/// bound and the cost of per-run-seed misses.
 pub fn run_ensemble_stream_cached<P, G>(
     spec: &EnsembleSpec,
     cache: &ConstructionCache,

@@ -23,7 +23,9 @@
 //!   when `BENCH_KERNELS_JSON` is set;
 //! * `construction_cache` — a whole ensemble with and without the
 //!   [`ConstructionCache`]: seed-independent schedules built once per
-//!   ensemble instead of once per run;
+//!   ensemble instead of once per run; plus a per-run-seed row (a fresh
+//!   family per run, two workers sharing one cache, so every lookup
+//!   misses) timing the ensemble and the constructions alone;
 //! * `mega_station` — the class-aggregated population engine on a block
 //!   wake of half the universe at n = 2^24: the guard asserts a ≥ 100×
 //!   memory reduction (stations represented per live simulation unit) for
@@ -43,8 +45,8 @@
 //!   `m` asserted against `selectors/testdata/family_lengths.txt`.
 //!
 //! Set `BENCH_KERNELS_JSON=<path>` to record the `bitslab_burst`,
-//! `coin_fill` and `family_length` summaries there (one line per group;
-//! other groups' lines in the file are kept).
+//! `coin_fill`, `family_length` and `construction_cache` summaries there
+//! (one line per group; other groups' lines in the file are kept).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mac_sim::prelude::*;
@@ -830,6 +832,80 @@ fn construction_cache(c: &mut Criterion) {
         ratio >= 2.0,
         &format!("construction cache speedup only {ratio:.1}x (expected >= 2x)"),
     );
+
+    // Per-run-seed row: every run samples a fresh family (EXP-A/B's
+    // default), so every cached construction misses. Two workers share
+    // one cache, as a two-thread ensemble does. Recorded, not asserted.
+    let (n, k, runs, threads) = (256u32, 4u32, 30_000u64, 2usize);
+    let provider = |seed: u64| FamilyProvider::Random { seed, delta: 1e-4 };
+    let spec = EnsembleSpec::new(n, runs).with_threads(threads);
+    let pattern_for = |seed: u64| wakeup_bench::burst_pattern(n, k as usize, 0, seed);
+    let fastest_us = |f: &dyn Fn() -> u64| {
+        let batches = if std::env::var_os("BENCH_QUICK").is_some() {
+            1
+        } else {
+            7
+        };
+        (0..batches)
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(f());
+                t0.elapsed().as_secs_f64() * 1e6 / runs as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let ensemble_uncached = fastest_us(&|| {
+        run_ensemble_stream(
+            &spec,
+            |s| Box::new(WakeupWithK::new(n, k, provider(s))),
+            pattern_for,
+        )
+        .runs
+    });
+    let ensemble_cached = fastest_us(&|| {
+        let cache = ConstructionCache::new();
+        run_ensemble_stream_cached(
+            &spec,
+            &cache,
+            |cache, s| Box::new(WakeupWithK::cached(n, k, &provider(s), cache)),
+            pattern_for,
+        )
+        .runs
+    });
+    // The constructions alone, split over the same two workers.
+    let construct = |cache: Option<&ConstructionCache>| {
+        std::thread::scope(|scope| {
+            for t in 0..threads as u64 {
+                scope.spawn(move || {
+                    for s in (t..runs).step_by(threads) {
+                        black_box(match cache {
+                            Some(c) => WakeupWithK::cached(n, k, &provider(s), c),
+                            None => WakeupWithK::new(n, k, provider(s)),
+                        });
+                    }
+                });
+            }
+        });
+        runs
+    };
+    let construct_uncached = fastest_us(&|| construct(None));
+    let construct_cached = fastest_us(&|| construct(Some(&ConstructionCache::new())));
+    let rows: Vec<String> = [
+        ("ensemble", ensemble_uncached, ensemble_cached),
+        ("construct", construct_uncached, construct_cached),
+    ]
+    .iter()
+    .map(|&(what, uncached, cached)| {
+        let row = format!("{what}_fresh_seed_wwk_n{n}_k{k}_r{runs}_t{threads}");
+        println!(
+            "construction_cache/{row}  uncached {uncached:.3}us | cached {cached:.3}us per run"
+        );
+        format!(
+            "{{\"row\": \"{row}\", \"uncached_us\": {uncached:.3}, \"cached_us\": {cached:.3}}}"
+        )
+    })
+    .collect();
+    write_kernels_json("construction_cache", "us_per_run", &rows);
 }
 
 fn mega_station(_c: &mut Criterion) {

@@ -10,8 +10,7 @@
 //! them behind [`Arc`]s:
 //!
 //! * handles are **shared across work-stealing workers** (the cache is
-//!   `Sync`; one short mutex hold per lookup, construction itself happens
-//!   outside any lock for the common hit path);
+//!   `Sync`), and construction happens outside any lock;
 //! * sharing one [`Arc<DoublingSchedule>`] across runs additionally shares
 //!   the schedule's interior per-station
 //!   [`PositionIndex`](crate::PositionIndex) memo
@@ -22,11 +21,37 @@
 //!   holds only immutable structure, so outcomes are bit-identical with and
 //!   without it.
 //!
-//! The maps are **bounded**: ensembles that derive a fresh provider seed
-//! per run (sampling over constructions) would otherwise grow one entry
-//! per run. When a map reaches [`CACHE_CAP`] entries it is cleared — a
-//! fixed-provider ensemble never gets near the cap, while a per-run-seed
-//! ensemble just keeps missing cheaply.
+//! # Layout and residency
+//!
+//! Each kind (families, schedules, matrices) has one fixed-size,
+//! set-associative table of 32 sets × 4 ways, so at most [`CACHE_CAP`]
+//! entries per kind are resident. A deterministic mix of the key
+//! ([`derive_seed`], never `RandomState`) picks the set. Each set has its
+//! own small lock on its own cache lines:
+//!
+//! * a lookup takes only its set's lock, so two workers rarely meet;
+//! * an insert replaces an empty way or the set's least recently used
+//!   one, and the evicted value is dropped after the lock is released;
+//! * two workers that miss on the same key both build it, and the later
+//!   insert adopts the entry already in the set, so both get one handle.
+//!
+//! The contract is: **the same key returns the same `Arc` while it is
+//! resident** — across workers, and for handles built on the main thread
+//! before a fan-out. A hit keeps a key resident; a set that receives more
+//! than 4 hot keys evicts some of them, and an evicted key is rebuilt
+//! (identical, but a new handle with a cold `PositionIndex` memo) when it
+//! is next asked for. A fixed-provider ensemble holds a handful of keys.
+//!
+//! Ensembles that derive a fresh provider seed per run (sampling over
+//! constructions, EXP-A/B's default) miss on every run: each miss builds
+//! what the uncached constructor would, plus one locked insert for the
+//! schedule and one per family. For `WakeupWithK` with n = 256, k = 4,
+//! 30k fresh seeds split over two workers sharing one cache cost 0.68 µs
+//! of wall time per construction, against 0.34 µs uncached (and 2.0 µs
+//! with the former single-mutex cache), medians of 5 runs of the kernels
+//! bench `construction_cache` on a 2-core 2.0 GHz Xeon. So a per-run-seed
+//! ensemble pays about twice the uncached construction for the sharing it
+//! never uses.
 //!
 //! The protocols consume the cache through their `cached` constructors
 //! ([`WakeupWithK::cached`](crate::WakeupWithK::cached), …); the ensemble
@@ -37,16 +62,25 @@
 use crate::family_provider::{DynFamily, FamilyProvider};
 use crate::select_among_first::DoublingSchedule;
 use crate::waking_matrix::{MatrixParams, WakingMatrix};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use mac_sim::rng::derive_seed;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Upper bound on entries per interior map; reaching it clears that map
-/// (see the module docs on per-run-seed ensembles).
-pub const CACHE_CAP: usize = 128;
+/// Upper bound on resident entries per kind (families, schedules,
+/// matrices): each kind's table has 32 sets of 4 ways.
+pub const CACHE_CAP: usize = SETS * WAYS;
 
-/// Orderable identity of a [`FamilyProvider`] (the `δ` float is keyed by
-/// its bit pattern — identical parameters, identical constructions).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// Sets per table.
+const SETS: usize = 32;
+
+/// Ways per set: how many keys mapping to one set stay resident together.
+/// Four rarely overflow with a handful of hot keys; wider sets (16 × 8)
+/// measured slower on per-run-seed ensembles, whose every miss writes a
+/// set that the other worker wrote last.
+const WAYS: usize = 4;
+
+/// Identity of a [`FamilyProvider`] (the `δ` float is keyed by its bit
+/// pattern — identical parameters, identical constructions).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ProviderKey {
     Random { seed: u64, delta_bits: u64 },
     KautzSingleton,
@@ -62,38 +96,164 @@ impl ProviderKey {
             FamilyProvider::KautzSingleton => ProviderKey::KautzSingleton,
         }
     }
-}
 
-/// The interior maps are `BTreeMap`s, not `HashMap`s: the cache sits in the
-/// deterministic tier, and ordered maps make even diagnostic iteration
-/// order reproducible (lookups stay `O(log CACHE_CAP)` on tiny maps).
-#[derive(Debug, Default)]
-struct Maps {
-    /// `(provider, n, k)` → realized selective family (cheap handle).
-    families: BTreeMap<(ProviderKey, u32, u32), DynFamily>,
-    /// `(provider, n, top)` → shared doubling schedule.
-    schedules: BTreeMap<(ProviderKey, u32, u32), Arc<DoublingSchedule>>,
-    /// Matrix parameters → shared waking matrix.
-    matrices: BTreeMap<MatrixParams, Arc<WakingMatrix>>,
-}
-
-/// Insert under the cap, **adopting a racing builder's entry** when one
-/// landed between the miss and this insert: both built the same
-/// deterministic value, but only the map winner's handle is the one every
-/// later run shares (and whose interior memos amortize) — so the loser
-/// returns the winner's clone instead of a private duplicate.
-fn bounded_insert<K: Ord, V: Clone>(map: &mut BTreeMap<K, V>, key: K, value: V) -> V {
-    if map.len() >= CACHE_CAP && !map.contains_key(&key) {
-        map.clear();
+    fn mix(self) -> u64 {
+        match self {
+            ProviderKey::Random { seed, delta_bits } => derive_seed(seed, delta_bits),
+            ProviderKey::KautzSingleton => 0,
+        }
     }
-    map.entry(key).or_insert(value).clone()
+}
+
+/// A table key: compared in full, and mixed deterministically (no
+/// `RandomState` — the cache sits in the deterministic tier) to pick its
+/// set.
+trait TableKey: Copy + Eq {
+    fn mix(&self) -> u64;
+}
+
+/// `(provider, n, k)` for families, `(provider, n, top)` for schedules.
+impl TableKey for (ProviderKey, u32, u32) {
+    fn mix(&self) -> u64 {
+        derive_seed(self.0.mix(), u64::from(self.1) << 32 | u64::from(self.2))
+    }
+}
+
+impl TableKey for MatrixParams {
+    fn mix(&self) -> u64 {
+        let shape = u64::from(self.n) << 32 | u64::from(self.c);
+        derive_seed(derive_seed(self.seed, shape), u64::from(self.rho_sweep))
+    }
+}
+
+/// One set: a lock of its own over [`WAYS`] entries, aligned to a cache
+/// line so that two sets never share one.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Set<K, V>(Mutex<Ways<K, V>>);
+
+/// A set's entries with their last-use stamps: a hit rewrites one stamp,
+/// an insert replaces an empty way or the least recently used one, and
+/// nothing moves. `repr(C)` puts the clock and stamps first, on the cache
+/// line of the mutex word, ahead of the entries.
+#[derive(Debug)]
+#[repr(C)]
+struct Ways<K, V> {
+    clock: u32,
+    stamps: [u32; WAYS],
+    entries: [Option<(K, V)>; WAYS],
+}
+
+impl<K: TableKey, V: Clone> Ways<K, V> {
+    fn touch(&mut self, i: usize) {
+        self.clock = self.clock.wrapping_add(1);
+        self.stamps[i] = self.clock;
+    }
+
+    fn hit(&mut self, key: &K) -> Option<V> {
+        let i = self
+            .entries
+            .iter()
+            .position(|w| matches!(w, Some((k, _)) if k == key))?;
+        self.touch(i);
+        self.entries[i].as_ref().map(|(_, v)| v.clone())
+    }
+
+    /// Insert `built` into an empty or the least recently used way, or
+    /// adopt the entry a racing builder landed since the miss: both built
+    /// the same deterministic value, but only the resident handle is the
+    /// one later runs share (and whose interior memos amortize). Returns
+    /// the shared value and what must be dropped: the evicted entry or the
+    /// losing copy.
+    fn insert(&mut self, key: K, built: V) -> (V, Option<(K, V)>) {
+        if let Some(resident) = self.hit(&key) {
+            return (resident, Some((key, built)));
+        }
+        // Ages count back from the clock, so its wrap is harmless.
+        let i = (0..WAYS)
+            .max_by_key(|&i| {
+                let age = self.clock.wrapping_sub(self.stamps[i]);
+                (self.entries[i].is_none(), age)
+            })
+            .unwrap_or(0);
+        self.touch(i);
+        (built.clone(), self.entries[i].replace((key, built)))
+    }
+}
+
+impl<K: TableKey, V: Clone> Set<K, V> {
+    fn new() -> Self {
+        Set(Mutex::new(Ways {
+            clock: 0,
+            stamps: [0; WAYS],
+            entries: Default::default(),
+        }))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Ways<K, V>> {
+        // Nothing panics under the lock; a poisoned set is still coherent.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A fixed-size, set-associative table. The sets are allocated on first
+/// use, so an unused kind costs one pointer.
+#[derive(Debug)]
+struct Table<K, V> {
+    sets: OnceLock<Box<[Set<K, V>]>>,
+}
+
+impl<K, V> Default for Table<K, V> {
+    fn default() -> Self {
+        Table {
+            sets: OnceLock::new(),
+        }
+    }
+}
+
+impl<K: TableKey, V: Clone> Table<K, V> {
+    /// The resident value for `key`, or `build()` — run outside any lock —
+    /// inserted.
+    fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> V {
+        let sets = self
+            .sets
+            .get_or_init(|| (0..SETS).map(|_| Set::new()).collect());
+        let set = &sets[(key.mix() % SETS as u64) as usize];
+        if let Some(v) = set.lock().hit(&key) {
+            return v;
+        }
+        let built = build();
+        // The guard is a temporary of this statement: the lock is released
+        // before `dropped` goes out of scope.
+        let (shared, dropped) = set.lock().insert(key, built);
+        drop(dropped);
+        shared
+    }
+
+    fn len(&self) -> usize {
+        self.sets.get().map_or(0, |sets| {
+            sets.iter()
+                .map(|set| set.lock().entries.iter().flatten().count())
+                .sum()
+        })
+    }
+}
+
+#[derive(Debug, Default)]
+struct Tables {
+    /// `(provider, n, k)` → realized selective family (cheap handle).
+    families: Table<(ProviderKey, u32, u32), DynFamily>,
+    /// `(provider, n, top)` → shared doubling schedule.
+    schedules: Table<(ProviderKey, u32, u32), Arc<DoublingSchedule>>,
+    /// Matrix parameters → shared waking matrix.
+    matrices: Table<MatrixParams, Arc<WakingMatrix>>,
 }
 
 /// A cheaply-cloneable (`Arc`-backed), thread-safe construction cache. See
 /// the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct ConstructionCache {
-    inner: Arc<Mutex<Maps>>,
+    inner: Arc<Tables>,
 }
 
 impl ConstructionCache {
@@ -106,11 +266,9 @@ impl ConstructionCache {
     /// use. [`DynFamily`] handles are a few machine words, so hits clone.
     pub fn family(&self, provider: &FamilyProvider, n: u32, k: u32) -> DynFamily {
         let key = (ProviderKey::of(provider), n, k);
-        if let Some(f) = self.inner.lock().unwrap().families.get(&key) {
-            return f.clone();
-        }
-        let built = provider.family(n, k);
-        bounded_insert(&mut self.inner.lock().unwrap().families, key, built)
+        self.inner
+            .families
+            .get_or_build(key, || provider.family(n, k))
     }
 
     /// The doubling-family sequence `F₁ … F_top`, each family pulled
@@ -130,28 +288,24 @@ impl ConstructionCache {
     /// [`PositionIndex`](crate::PositionIndex) memo.
     pub fn schedule(&self, provider: &FamilyProvider, n: u32, top: u32) -> Arc<DoublingSchedule> {
         let key = (ProviderKey::of(provider), n, top);
-        if let Some(s) = self.inner.lock().unwrap().schedules.get(&key) {
-            return Arc::clone(s);
-        }
-        let built = Arc::new(DoublingSchedule::from_families(
-            self.doubling_sequence(provider, n, top),
-        ));
-        bounded_insert(&mut self.inner.lock().unwrap().schedules, key, built)
+        self.inner.schedules.get_or_build(key, || {
+            Arc::new(DoublingSchedule::from_families(
+                self.doubling_sequence(provider, n, top),
+            ))
+        })
     }
 
     /// The shared [`WakingMatrix`] for `params`.
     pub fn matrix(&self, params: MatrixParams) -> Arc<WakingMatrix> {
-        if let Some(m) = self.inner.lock().unwrap().matrices.get(&params) {
-            return Arc::clone(m);
-        }
-        let built = Arc::new(WakingMatrix::new(params));
-        bounded_insert(&mut self.inner.lock().unwrap().matrices, params, built)
+        self.inner
+            .matrices
+            .get_or_build(params, || Arc::new(WakingMatrix::new(params)))
     }
 
-    /// Number of cached entries across all maps (diagnostics and tests).
+    /// Number of resident entries across all kinds (diagnostics and tests).
     pub fn len(&self) -> usize {
-        let m = self.inner.lock().unwrap();
-        m.families.len() + m.schedules.len() + m.matrices.len()
+        let t = &self.inner;
+        t.families.len() + t.schedules.len() + t.matrices.len()
     }
 
     /// `true` iff nothing has been cached yet.
@@ -238,5 +392,96 @@ mod tests {
             cache.matrix(MatrixParams::new(16).with_seed(seed));
         }
         assert!(cache.len() <= 2 * CACHE_CAP);
+    }
+
+    /// `threads` workers, each running `work(worker)` at once.
+    fn on_workers<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let work = &work;
+                    scope.spawn(move || work(t))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_fresh_seeds_match_direct_construction() {
+        // A per-run-seed ensemble: every request misses, workers evict each
+        // other's entries, and every handle must still be the schedule the
+        // uncached constructor builds.
+        let cache = ConstructionCache::new();
+        let (n, top) = (24u32, 2u32);
+        on_workers(2, |t| {
+            for seed in (t as u64..3 * CACHE_CAP as u64).step_by(2) {
+                let p = FamilyProvider::random_with_seed(seed);
+                let cached = cache.schedule(&p, n, top);
+                let direct = DoublingSchedule::new(&p, n, top);
+                assert_eq!(cached.period(), direct.period(), "seed {seed}");
+                for u in 0..n {
+                    for q in 0..direct.period() {
+                        assert_eq!(cached.transmits(u, q), direct.transmits(u, q));
+                    }
+                }
+                assert!(cache.len() <= 2 * CACHE_CAP, "families + schedules");
+            }
+        });
+        assert_eq!(cache.len(), 2 * CACHE_CAP, "both tables full");
+    }
+
+    #[test]
+    fn prewarmed_schedule_is_shared_by_every_worker() {
+        // A schedule built on the main thread before the fan-out comes back
+        // as the same handle in every worker, while the workers churn the
+        // table with fresh seeds: each hit keeps it the most recent way of
+        // its set, and fewer than 4 inserts land between two hits.
+        let cache = ConstructionCache::new();
+        let hot = FamilyProvider::random_with_seed(7);
+        let prewarmed = cache.schedule(&hot, 64, 3);
+        on_workers(2, |t| {
+            for i in 0..2 * CACHE_CAP as u64 {
+                let fresh = FamilyProvider::random_with_seed(1000 + 2 * i + t as u64);
+                cache.schedule(&fresh, 64, 3);
+                assert!(Arc::ptr_eq(&cache.schedule(&hot, 64, 3), &prewarmed));
+            }
+        });
+    }
+
+    #[test]
+    fn racing_builders_share_one_handle() {
+        // Both workers ask for each fresh key at once; whichever inserts
+        // second adopts the first one's entry.
+        let cache = ConstructionCache::new();
+        let barrier = std::sync::Barrier::new(2);
+        let handles = on_workers(2, |_| {
+            (0..64u64)
+                .map(|seed| {
+                    barrier.wait();
+                    cache.schedule(&FamilyProvider::random_with_seed(seed), 32, 2)
+                })
+                .collect::<Vec<_>>()
+        });
+        for (a, b) in handles[0].iter().zip(&handles[1]) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+    }
+
+    #[test]
+    fn set_bookkeeping_shares_the_first_cache_line() {
+        // The layout the `Ways` docs promise: the mutex word, clock and
+        // stamps in the set's first 64 bytes, ahead of the entries.
+        fn check<K: TableKey, V: Clone>() {
+            let set = Set::<K, V>::new();
+            let base = &set as *const Set<K, V> as usize;
+            let ways = set.lock();
+            let stamps_end = ways.stamps.as_ptr_range().end as usize - base;
+            let entries = ways.entries.as_ptr() as usize - base;
+            assert!(stamps_end <= 64 && entries >= stamps_end);
+        }
+        check::<(ProviderKey, u32, u32), DynFamily>();
+        check::<(ProviderKey, u32, u32), Arc<DoublingSchedule>>();
+        check::<MatrixParams, Arc<WakingMatrix>>();
     }
 }
