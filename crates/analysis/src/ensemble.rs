@@ -1,32 +1,27 @@
 //! Multi-seed, multi-threaded experiment ensembles.
 //!
 //! An ensemble pairs a *protocol factory* with a *pattern generator*, both
-//! keyed by a run seed, and executes `runs` independent simulations. Since
-//! the sparse engine made single runs cheap, scheduling is the bottleneck,
-//! so execution rides on [`wakeup_runner`]'s work-stealing pool: short runs
-//! are batched per worker (batch size auto-calibrated), idle workers steal,
-//! and per-run results are folded **in seed order** on the caller's thread —
-//! so every aggregate is bit-identical across thread counts.
+//! keyed by a run seed, and executes `runs` independent simulations through
+//! the one entry point, [`run_ensemble_stream`]. Since the sparse engine
+//! made single runs cheap, scheduling is the bottleneck, so execution rides
+//! on [`wakeup_runner`]'s work-stealing pool: short runs are batched per
+//! worker (batch size auto-calibrated), idle workers steal, and per-run
+//! results are folded **in seed order** on the caller's thread — so every
+//! aggregate is bit-identical across thread counts.
 //!
-//! Two aggregation styles:
-//!
-//! * [`run_ensemble`] — materializes one [`LatencySample`] per run
-//!   ([`EnsembleResult`]), for experiments that post-process samples;
-//! * [`run_ensemble_stream`] — streaming accumulators only
-//!   ([`EnsembleSummary`]: Welford stats, P² quantile sketches, energy and
-//!   work counters), so million-run sweeps never hold per-run results —
-//!   transient memory is the reorder buffer, O(threads·batch) digests.
-//!
-//! [`run_ensemble_chunked`] preserves the pre-runner chunk-per-thread
-//! scheduling as a reference: tests pin the runner's output to it
-//! bit-for-bit and the `runner_throughput` bench measures the speedup
-//! against it.
+//! Aggregation is streaming only ([`EnsembleSummary`]: Welford stats, P²
+//! quantile sketches, energy and work counters), so million-run sweeps
+//! never hold per-run results — transient memory is the reorder buffer,
+//! O(threads·batch) digests.
 //!
 //! Factories are indexed rather than shared so that deterministic protocols
 //! can vary their combinatorial seed per run (a fixed deterministic protocol
-//! on a fixed pattern would measure the same run `R` times).
+//! on a fixed pattern would measure the same run `R` times). A factory that
+//! wants seed-independent structure shared across runs captures a
+//! [`ConstructionCache`](wakeup_core::ConstructionCache) by reference and
+//! calls the protocols' `cached` constructors.
 
-use mac_sim::metrics::{EnergyStats, LatencySample, OutcomeDigest};
+use mac_sim::metrics::{EnergyStats, OutcomeDigest};
 use mac_sim::tracer::{RecordingTracer, TraceFilter};
 use mac_sim::{
     ChannelModel, ChurnScript, EngineMode, FaultCounts, FeedbackModel, PopulationMode, Protocol,
@@ -35,8 +30,6 @@ use mac_sim::{
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
-use wakeup_core::ConstructionCache;
 use wakeup_runner::collect::from_fn;
 use wakeup_runner::{OnlineStats, P2Quantile, Progress, RunStats, Runner};
 
@@ -109,63 +102,36 @@ impl fmt::Debug for TraceSpec {
 /// Parameters of an ensemble run.
 #[derive(Clone, Debug)]
 pub struct EnsembleSpec {
-    /// Universe size.
-    pub n: u32,
+    /// The simulator configuration every run uses: universe size, slot cap,
+    /// feedback, channel faults, churn, engine path, population mode and
+    /// per-station detail.
+    pub sim: SimConfig,
     /// Number of independent runs.
     pub runs: u64,
-    /// Slot cap per run (`None`: the simulator default for `n`).
-    pub max_slots: Option<u64>,
-    /// Channel feedback model.
-    pub feedback: FeedbackModel,
-    /// Channel fault model (default [`ChannelModel::ideal`] — no faults,
-    /// bit-identical to a spec built before fault injection existed).
-    pub channel: ChannelModel,
-    /// Station churn script (default [`ChurnScript::none`]).
-    pub churn: ChurnScript,
     /// Base seed; run `i` uses seed `base_seed.wrapping_add(i)` (wrapping,
     /// so a base seed near `u64::MAX` is valid and cannot overflow).
     pub base_seed: u64,
     /// Worker threads (default: available parallelism). Zero is treated as
     /// one — the run path clamps, not just [`with_threads`](Self::with_threads).
     pub threads: usize,
-    /// Engine path ([`EngineMode::Auto`] skips silent slots when the
-    /// protocol allows; [`EngineMode::Dense`] forces per-slot polling, e.g.
-    /// for speedup measurements).
-    pub engine: EngineMode,
-    /// Station representation ([`PopulationMode::Concrete`] boxes one
-    /// station per id; [`PopulationMode::Classes`] aggregates wake batches
-    /// into equivalence classes — memory O(classes), the mega-n path).
-    pub population: PopulationMode,
-    /// Materialize per-station transmission counts (`Outcome::per_station_tx`).
-    /// Off for mega-n sweeps where an O(n) vector per run defeats the
-    /// class engine's O(classes) memory.
-    pub per_station_detail: bool,
     /// Live progress reporting for long sweeps (`None`: silent).
     pub progress: Option<Progress>,
     /// Structured-trace capture (`None`: untraced — the zero-cost
-    /// [`NoopTracer`](mac_sim::tracer::NoopTracer) path). Honored by
-    /// [`run_ensemble`] and [`run_ensemble_stream`]; the chunked reference
-    /// scheduler ignores it.
+    /// [`NoopTracer`](mac_sim::tracer::NoopTracer) path).
     pub trace: Option<TraceSpec>,
 }
 
 impl EnsembleSpec {
-    /// A spec with `runs` runs on `n` stations and sensible defaults.
+    /// A spec with `runs` runs on `n` stations and the [`SimConfig::new`]
+    /// defaults.
     pub fn new(n: u32, runs: u64) -> Self {
         EnsembleSpec {
-            n,
+            sim: SimConfig::new(n),
             runs,
-            max_slots: None,
-            feedback: FeedbackModel::NoCollisionDetection,
-            channel: ChannelModel::ideal(),
-            churn: ChurnScript::none(),
             base_seed: 0,
             threads: std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(4),
-            engine: EngineMode::Auto,
-            population: PopulationMode::default(),
-            per_station_detail: true,
             progress: None,
             trace: None,
         }
@@ -173,7 +139,7 @@ impl EnsembleSpec {
 
     /// Override the per-run slot cap.
     pub fn with_max_slots(mut self, cap: u64) -> Self {
-        self.max_slots = Some(cap);
+        self.sim = self.sim.with_max_slots(cap);
         self
     }
 
@@ -185,19 +151,19 @@ impl EnsembleSpec {
 
     /// Override the feedback model.
     pub fn with_feedback(mut self, fb: FeedbackModel) -> Self {
-        self.feedback = fb;
+        self.sim = self.sim.with_feedback(fb);
         self
     }
 
     /// Inject channel faults (erasure / false collision / capture).
     pub fn with_channel(mut self, channel: ChannelModel) -> Self {
-        self.channel = channel;
+        self.sim = self.sim.with_channel(channel);
         self
     }
 
     /// Inject station churn (crashes and re-wakes).
     pub fn with_churn(mut self, churn: ChurnScript) -> Self {
-        self.churn = churn;
+        self.sim = self.sim.with_churn(churn);
         self
     }
 
@@ -207,41 +173,36 @@ impl EnsembleSpec {
         self
     }
 
-    /// Override the engine path.
+    /// Override the engine path ([`EngineMode::Auto`] skips silent slots
+    /// when the protocol allows; [`EngineMode::Dense`] forces per-slot
+    /// polling, e.g. for speedup measurements).
     pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
+        self.sim = self.sim.with_engine(engine);
         self
     }
 
     /// Override the station representation.
     pub fn with_population(mut self, population: PopulationMode) -> Self {
-        self.population = population;
+        self.sim = self.sim.with_population(population);
         self
     }
 
     /// Aggregate wake batches into equivalence classes
     /// ([`PopulationMode::Classes`]).
     pub fn with_classes(mut self) -> Self {
-        self.population = PopulationMode::Classes;
+        self.sim = self.sim.with_classes();
         self
     }
 
     /// Skip per-station transmission counts — required for mega-n class
     /// sweeps to keep per-run memory O(classes).
     pub fn without_per_station_detail(mut self) -> Self {
-        self.per_station_detail = false;
+        self.sim = self.sim.without_per_station_detail();
         self
     }
 
-    /// Report progress (runs/s, steals) to stderr roughly every `every`.
-    pub fn with_progress(mut self, every: Duration, label: impl Into<String>) -> Self {
-        self.progress = Some(Progress::new(every, label));
-        self
-    }
-
-    /// Attach a fully-built [`Progress`] spec — the way to keep a custom
-    /// [`ProgressSink`](wakeup_runner::ProgressSink) routing (plain
-    /// [`with_progress`](Self::with_progress) reports to stderr).
+    /// Report progress (runs/s, steals) through a fully-built [`Progress`]
+    /// spec and its [`ProgressSink`](wakeup_runner::ProgressSink) routing.
     pub fn with_progress_spec(mut self, progress: Progress) -> Self {
         self.progress = Some(progress);
         self
@@ -257,22 +218,6 @@ impl EnsembleSpec {
     /// The seed of run `i` (wrapping — see [`base_seed`](Self::base_seed)).
     pub fn seed_of(&self, i: u64) -> u64 {
         self.base_seed.wrapping_add(i)
-    }
-
-    fn sim_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::new(self.n)
-            .with_feedback(self.feedback)
-            .with_engine(self.engine)
-            .with_population(self.population)
-            .with_channel(self.channel)
-            .with_churn(self.churn.clone());
-        if let Some(cap) = self.max_slots {
-            cfg = cfg.with_max_slots(cap);
-        }
-        if !self.per_station_detail {
-            cfg = cfg.without_per_station_detail();
-        }
-        cfg
     }
 
     fn runner(&self) -> Runner {
@@ -400,50 +345,12 @@ impl WorkStats {
     }
 }
 
-/// Aggregated results of an ensemble.
-#[derive(Clone, Debug)]
-pub struct EnsembleResult {
-    /// One latency sample per run, in run order.
-    pub samples: Vec<LatencySample>,
-    /// Energy (transmission) statistics over all runs.
-    pub energy: EnergyStats,
-    /// Engine-work counters (slots vs polls vs skipped) over all runs.
-    pub work: WorkStats,
-}
-
-impl EnsembleResult {
-    /// Latencies of the solved runs.
-    pub fn solved_latencies(&self) -> Vec<u64> {
-        self.samples.iter().filter_map(|s| s.solved()).collect()
-    }
-
-    /// Number of censored (cap-hit) runs.
-    pub fn censored(&self) -> usize {
-        self.samples.len() - self.solved_latencies().len()
-    }
-
-    /// Worst observed latency, counting censored runs pessimistically.
-    pub fn worst(&self) -> u64 {
-        self.samples
-            .iter()
-            .map(|s| s.pessimistic())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Summary statistics of the solved latencies.
-    pub fn summary(&self) -> Option<crate::stats::Summary> {
-        crate::stats::Summary::of_u64(&self.solved_latencies())
-    }
-}
-
 /// Streaming aggregate of an ensemble: everything the experiment tables
 /// report, with no per-run sample vector — the only per-ensemble memory
 /// is the runner's O(threads·batch) reorder buffer.
 ///
-/// Latency statistics cover **solved** runs (matching
-/// [`EnsembleResult::summary`]); [`worst`](Self::worst) additionally counts
-/// censored runs pessimistically. Median/p90/p99 come from P² sketches:
+/// Latency statistics cover **solved** runs; [`worst`](Self::worst)
+/// additionally counts censored runs pessimistically. Median/p90/p99 come from P² sketches:
 /// exact below five solved runs, a tightly-tracking estimate above.
 #[derive(Clone, Debug)]
 pub struct EnsembleSummary {
@@ -646,7 +553,7 @@ fn flush_exec(spec: &EnsembleSpec, stats: &RunStats) {
         .with("record", "ensemble")
         .with("ensemble", seq)
         .with("label", label)
-        .with("n", spec.n)
+        .with("n", spec.sim.n)
         .with("runs", stats.runs)
         .with("threads", stats.threads as u64)
         .with("batch", stats.batch)
@@ -677,60 +584,6 @@ fn flush_exec(spec: &EnsembleSpec, stats: &RunStats) {
         .expect("exec sidecar poisoned")
         .write_all(&buf)
         .expect("exec sidecar write failed");
-}
-
-/// Execute the ensemble's runs on the work-stealing pool, folding digests
-/// into `fold` in seed order.
-fn execute<P, G, F>(spec: &EnsembleSpec, protocol_for: P, pattern_for: G, mut fold: F) -> RunStats
-where
-    P: Fn(u64) -> Box<dyn Protocol> + Sync,
-    G: Fn(u64) -> WakePattern + Sync,
-    F: FnMut(u64, OutcomeDigest),
-{
-    let sim = Simulator::new(spec.sim_config());
-    let trace = spec.trace.as_ref();
-    let stats = spec.runner().run(
-        spec.runs,
-        |i| {
-            let seed = spec.seed_of(i);
-            let protocol = protocol_for(seed);
-            let pattern = pattern_for(seed);
-            run_one(&sim, trace, i, seed, protocol.as_ref(), &pattern)
-        },
-        from_fn(|i, (d, bytes): (OutcomeDigest, Vec<u8>)| {
-            flush_trace(trace, &bytes);
-            fold(i, d);
-        }),
-    );
-    flush_exec(spec, &stats);
-    stats
-}
-
-/// Run an ensemble: run `i ∈ [0, spec.runs)` simulates
-/// `protocol_for(seed)` against `pattern_for(seed)` where
-/// `seed = spec.base_seed.wrapping_add(i)`, materializing one latency
-/// sample per run.
-///
-/// Panics if any run fails validation (a bug in the generator, not a
-/// measurement outcome).
-pub fn run_ensemble<P, G>(spec: &EnsembleSpec, protocol_for: P, pattern_for: G) -> EnsembleResult
-where
-    P: Fn(u64) -> Box<dyn Protocol> + Sync,
-    G: Fn(u64) -> WakePattern + Sync,
-{
-    let mut samples = Vec::with_capacity(usize::try_from(spec.runs).unwrap_or(0));
-    let mut energy = EnergyStats::new();
-    let mut work = WorkStats::default();
-    execute(spec, protocol_for, pattern_for, |_, d| {
-        samples.push(d.sample);
-        energy.absorb_digest(&d);
-        work.absorb_digest(&d);
-    });
-    EnsembleResult {
-        samples,
-        energy,
-        work,
-    }
 }
 
 /// Worker-side pre-fold of one batch of digests (the payload of
@@ -769,14 +622,20 @@ impl StreamPartial {
     }
 }
 
-/// Run an ensemble with streaming aggregation only: no per-run results
-/// are materialized, suitable
-/// for million-run sweeps. Same execution and seed derivation as
-/// [`run_ensemble`], but reduction is **pipelined**: each worker pre-folds
-/// its batch into a partial fold ([`Runner::run_folded`]), and this
-/// thread merges the partials in seed order — associatively for the integer
-/// counters, by in-order replay for the floating-point latency statistics.
-/// Aggregates are bit-identical across thread counts and batch boundaries.
+/// Run an ensemble: run `i ∈ [0, spec.runs)` simulates
+/// `protocol_for(seed)` against `pattern_for(seed)` where
+/// `seed = spec.base_seed.wrapping_add(i)`. No per-run results are
+/// materialized, so million-run sweeps stay O(threads·batch) in memory.
+///
+/// Reduction is **pipelined**: each worker pre-folds its batch into a
+/// partial fold ([`Runner::run_folded`]), and this thread merges the
+/// partials in seed order — associatively for the integer counters, by
+/// in-order replay for the floating-point latency statistics. Aggregates
+/// and trace bytes are bit-identical across thread counts and batch
+/// boundaries.
+///
+/// Panics if any run fails validation (a bug in the generator, not a
+/// measurement outcome).
 pub fn run_ensemble_stream<P, G>(
     spec: &EnsembleSpec,
     protocol_for: P,
@@ -791,7 +650,7 @@ where
     // and move the stats in afterwards.
     let exec = {
         let s = &mut summary;
-        let sim = Simulator::new(spec.sim_config());
+        let sim = Simulator::new(spec.sim.clone());
         let trace = spec.trace.as_ref();
         spec.runner().run_folded(
             spec.runs,
@@ -814,109 +673,10 @@ where
     summary
 }
 
-/// [`run_ensemble`] with an ensemble-wide [`ConstructionCache`]: the
-/// factory receives the cache next to the run seed, so seed-independent
-/// structure (selective families, doubling schedules and their per-station
-/// position indices, waking matrices) is built **once per ensemble** and
-/// shared read-only across runs and work-stealing workers, while per-run
-/// state stays in the stations. Outcomes are bit-identical to the uncached
-/// path — the cache holds only immutable structure.
-///
-/// Sharing contract: a key returns the same handle **while it is
-/// resident**. The cache holds at most 128 entries per kind in 32 sets of
-/// 4 ways, and a set with more than 4 hot keys evicts some of them (they
-/// are rebuilt, identical, when next asked for). A factory that derives a
-/// fresh provider seed from each run seed misses on every run, and each
-/// miss costs the uncached construction plus a few locked inserts; see
-/// the `wakeup_core::cache` module docs for the measured cost.
-pub fn run_ensemble_cached<P, G>(
-    spec: &EnsembleSpec,
-    cache: &ConstructionCache,
-    protocol_for: P,
-    pattern_for: G,
-) -> EnsembleResult
-where
-    P: Fn(&ConstructionCache, u64) -> Box<dyn Protocol> + Sync,
-    G: Fn(u64) -> WakePattern + Sync,
-{
-    run_ensemble(spec, |seed| protocol_for(cache, seed), pattern_for)
-}
-
-/// [`run_ensemble_stream`] with an ensemble-wide [`ConstructionCache`] —
-/// see [`run_ensemble_cached`] for the sharing contract, the residency
-/// bound and the cost of per-run-seed misses.
-pub fn run_ensemble_stream_cached<P, G>(
-    spec: &EnsembleSpec,
-    cache: &ConstructionCache,
-    protocol_for: P,
-    pattern_for: G,
-) -> EnsembleSummary
-where
-    P: Fn(&ConstructionCache, u64) -> Box<dyn Protocol> + Sync,
-    G: Fn(u64) -> WakePattern + Sync,
-{
-    run_ensemble_stream(spec, |seed| protocol_for(cache, seed), pattern_for)
-}
-
-/// The pre-runner scheduling: split the seed range into one static
-/// contiguous chunk per thread (`std::thread::scope`, no stealing, full
-/// result materialization). Kept as the baseline the work-stealing runner
-/// is benchmarked against (`benches/runner.rs`) and as an independent
-/// reference implementation for determinism tests. Produces exactly the
-/// same [`EnsembleResult`] as [`run_ensemble`].
-pub fn run_ensemble_chunked<P, G>(
-    spec: &EnsembleSpec,
-    protocol_for: P,
-    pattern_for: G,
-) -> EnsembleResult
-where
-    P: Fn(u64) -> Box<dyn Protocol> + Sync,
-    G: Fn(u64) -> WakePattern + Sync,
-{
-    let cfg = spec.sim_config();
-    let runs: Vec<u64> = (0..spec.runs).map(|i| spec.seed_of(i)).collect();
-    let threads = spec.threads.max(1).min(runs.len().max(1));
-    let chunk = runs.len().div_ceil(threads);
-    let mut results: Vec<Option<(LatencySample, mac_sim::Outcome)>> = vec![None; runs.len()];
-
-    std::thread::scope(|scope| {
-        for (seeds, out_chunk) in runs.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            let cfg = cfg.clone();
-            let protocol_for = &protocol_for;
-            let pattern_for = &pattern_for;
-            scope.spawn(move || {
-                let sim = Simulator::new(cfg);
-                for (seed, slot) in seeds.iter().zip(out_chunk.iter_mut()) {
-                    let protocol = protocol_for(*seed);
-                    let pattern = pattern_for(*seed);
-                    let outcome = sim
-                        .run(protocol.as_ref(), &pattern, *seed)
-                        .expect("ensemble run failed validation");
-                    *slot = Some((LatencySample::from_outcome(&outcome), outcome));
-                }
-            });
-        }
-    });
-
-    let mut samples = Vec::with_capacity(runs.len());
-    let mut energy = EnergyStats::new();
-    let mut work = WorkStats::default();
-    for r in results.into_iter() {
-        let (sample, outcome) = r.expect("worker thread left a hole");
-        samples.push(sample);
-        energy.absorb(&outcome);
-        work.absorb(&outcome);
-    }
-    EnsembleResult {
-        samples,
-        energy,
-        work,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mac_sim::metrics::LatencySample;
     use mac_sim::pattern::IdChoice;
     use mac_sim::StationId;
     use rand::SeedableRng;
@@ -929,51 +689,116 @@ mod tests {
         WakePattern::uniform_window(&ids, 0, 16, &mut rng).unwrap()
     }
 
+    /// The deterministic fields of a summary, for whole-summary equality.
+    fn fingerprint(s: &EnsembleSummary) -> String {
+        s.record().to_json()
+    }
+
+    /// The latency statistics of a summary, bit for bit.
+    fn latencies(s: &EnsembleSummary) -> (u64, u64, u64, [u64; 6]) {
+        let stats = [s.mean(), s.ci95(), s.median(), s.p90(), s.p99(), s.max()];
+        (s.runs, s.solved, s.worst, stats.map(f64::to_bits))
+    }
+
+    /// Independent sequential reference: one `Simulator::run` per seed, in
+    /// seed order, on the calling thread.
+    fn sequential<P, G>(
+        spec: &EnsembleSpec,
+        protocol_for: P,
+        pattern_for: G,
+    ) -> (Vec<LatencySample>, EnergyStats, WorkStats)
+    where
+        P: Fn(u64) -> Box<dyn Protocol>,
+        G: Fn(u64) -> WakePattern,
+    {
+        let sim = Simulator::new(spec.sim.clone());
+        let (mut samples, mut energy, mut work) =
+            (Vec::new(), EnergyStats::new(), WorkStats::default());
+        for i in 0..spec.runs {
+            let seed = spec.seed_of(i);
+            let out = sim
+                .run(protocol_for(seed).as_ref(), &pattern_for(seed), seed)
+                .unwrap();
+            samples.push(LatencySample::from_outcome(&out));
+            energy.absorb(&out);
+            work.absorb(&out);
+        }
+        (samples, energy, work)
+    }
+
+    #[test]
+    fn stream_matches_sequential_reference_at_every_thread_count() {
+        // The work-stealing stream must fold exactly what a plain in-order
+        // loop folds, whatever the thread count, and its trace bytes must
+        // not depend on the thread count either.
+        use mac_sim::tracer::TraceFilter;
+        let n = 64u32;
+        let protocol = |seed| -> Box<dyn Protocol> {
+            Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed)))
+        };
+        let pattern = |seed| k_pattern(n, 4, seed);
+        let spec = EnsembleSpec::new(n, 24).with_base_seed(42);
+        let (samples, energy, work) = sequential(&spec, protocol, pattern);
+        let solved: Vec<u64> = samples.iter().filter_map(|s| s.solved()).collect();
+        let exact = crate::stats::Summary::of_u64(&solved).unwrap();
+        let mut first_trace = None;
+        for threads in [1usize, 2, 3] {
+            let (trace, buf) = vec_trace(TraceFilter::all());
+            let spec = spec.clone().with_threads(threads).with_trace(trace);
+            let s = run_ensemble_stream(&spec, protocol, pattern);
+            assert_eq!(s.runs, samples.len() as u64, "threads={threads}");
+            assert_eq!(s.solved, solved.len() as u64, "threads={threads}");
+            let worst = samples.iter().map(|s| s.pessimistic()).max().unwrap();
+            assert_eq!(s.worst, worst, "threads={threads}");
+            assert_eq!(s.energy, energy, "threads={threads}");
+            assert_eq!(s.work, work, "threads={threads}");
+            // Welford and the two-pass sum agree up to rounding.
+            assert!((s.mean() - exact.mean).abs() < 1e-9, "threads={threads}");
+            assert_eq!(s.max(), exact.max, "threads={threads}");
+            let bytes = buf.lock().unwrap().clone();
+            assert_eq!(first_trace.get_or_insert_with(|| bytes.clone()), &bytes);
+        }
+    }
+
     #[test]
     fn ensemble_runs_and_aggregates() {
         let n = 64u32;
         let spec = EnsembleSpec::new(n, 16).with_threads(4);
-        let res = run_ensemble(
+        let res = run_ensemble_stream(
             &spec,
             |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
             |seed| k_pattern(n, 4, seed),
         );
-        assert_eq!(res.samples.len(), 16);
+        assert_eq!(res.runs, 16);
         assert_eq!(res.censored(), 0, "wakeup(n) should solve all runs");
-        let summary = res.summary().unwrap();
-        assert_eq!(summary.count, 16);
-        assert!(summary.max >= summary.median);
+        assert_eq!(res.solved, 16);
+        assert!(res.max() >= res.median());
         assert!(res.energy.runs == 16);
         assert!(res.energy.total_transmissions > 0);
     }
 
     #[test]
     fn class_population_ensemble_matches_concrete() {
-        // Ensemble plumbing for the class engine: same samples/energy, and
+        // Ensemble plumbing for the class engine: same latencies/energy, and
         // peak_units drops to the class count (one unit per wake batch here)
         // while the concrete path carries one unit per station.
         let n = 128u32;
         let spec = EnsembleSpec::new(n, 12).with_threads(3);
         let pattern = |seed: u64| WakePattern::range(0, n / 2, seed % 8).unwrap();
-        let concrete = run_ensemble(&spec, |_| Box::new(RoundRobin::new(n)), pattern);
-        let classed = run_ensemble(
-            &spec.clone().with_classes(),
-            |_| Box::new(RoundRobin::new(n)),
-            pattern,
-        );
-        assert_eq!(concrete.samples, classed.samples);
+        let run = |spec: &EnsembleSpec| {
+            run_ensemble_stream(spec, |_| Box::new(RoundRobin::new(n)), pattern)
+        };
+        let concrete = run(&spec);
+        let classed = run(&spec.clone().with_classes());
+        assert_eq!(latencies(&concrete), latencies(&classed));
         assert_eq!(concrete.energy, classed.energy);
         assert_eq!(concrete.work.slots, classed.work.slots);
         assert_eq!(concrete.work.peak_units, u64::from(n) / 2);
         assert_eq!(classed.work.peak_units, 1);
         // And without per-station detail the aggregates still match, except
         // the per-station maximum that detail-off deliberately drops.
-        let lean = run_ensemble(
-            &spec.clone().with_classes().without_per_station_detail(),
-            |_| Box::new(RoundRobin::new(n)),
-            pattern,
-        );
-        assert_eq!(lean.samples, classed.samples);
+        let lean = run(&spec.clone().with_classes().without_per_station_detail());
+        assert_eq!(latencies(&lean), latencies(&classed));
         assert_eq!(
             lean.energy.total_transmissions,
             classed.energy.total_transmissions
@@ -985,20 +810,23 @@ mod tests {
     fn work_stats_track_sparse_savings() {
         // Round-robin gives O(1) hints, so the sparse engine polls far less
         // than once per slot, while a dense run polls k times per slot.
-        use mac_sim::EngineMode;
         let n = 256u32;
         let spec = EnsembleSpec::new(n, 8).with_threads(2);
-        let sparse = run_ensemble(
-            &spec,
-            |_| Box::new(RoundRobin::new(n)),
-            |seed| k_pattern(n, 6, seed),
+        let run = |spec: &EnsembleSpec| {
+            run_ensemble_stream(
+                spec,
+                |_| Box::new(RoundRobin::new(n)),
+                |seed| k_pattern(n, 6, seed),
+            )
+        };
+        let sparse = run(&spec);
+        let dense = run(&spec.clone().with_engine(EngineMode::Dense));
+        assert_eq!(
+            latencies(&sparse),
+            latencies(&dense),
+            "outcomes must be identical"
         );
-        let dense = run_ensemble(
-            &spec.clone().with_engine(EngineMode::Dense),
-            |_| Box::new(RoundRobin::new(n)),
-            |seed| k_pattern(n, 6, seed),
-        );
-        assert_eq!(sparse.samples, dense.samples, "outcomes must be identical");
+        assert_eq!(sparse.energy, dense.energy);
         assert_eq!(
             sparse.work.slots, dense.work.slots,
             "paths must cover the same slots"
@@ -1020,7 +848,7 @@ mod tests {
         let n = 32u32;
         let spec = EnsembleSpec::new(n, 8).with_base_seed(99).with_threads(2);
         let run = || {
-            run_ensemble(
+            run_ensemble_stream(
                 &spec,
                 |seed| {
                     Box::new(WakeupWithK::new(
@@ -1032,25 +860,21 @@ mod tests {
                 |seed| k_pattern(n, 4, seed),
             )
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a.samples, b.samples);
+        assert_eq!(fingerprint(&run()), fingerprint(&run()));
     }
 
     #[test]
     fn different_base_seeds_differ() {
         let n = 32u32;
         let mk = |base: u64| {
-            run_ensemble(
+            run_ensemble_stream(
                 &EnsembleSpec::new(n, 8).with_base_seed(base),
                 |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
                 |seed| k_pattern(n, 3, seed),
             )
         };
-        let a = mk(0);
-        let b = mk(1_000_000);
         // Extremely likely to differ somewhere.
-        assert_ne!(a.samples, b.samples);
+        assert_ne!(fingerprint(&mk(0)), fingerprint(&mk(1_000_000)));
     }
 
     #[test]
@@ -1073,11 +897,6 @@ mod tests {
             }
         }
         let spec = EnsembleSpec::new(8, 4).with_max_slots(50);
-        let res = run_ensemble(&spec, |_| Box::new(Silent), |seed| k_pattern(8, 2, seed));
-        assert_eq!(res.censored(), 4);
-        assert!(res.summary().is_none());
-        assert_eq!(res.worst(), 50);
-        // Streaming view agrees on censoring and the pessimistic worst.
         let s = run_ensemble_stream(&spec, |_| Box::new(Silent), |seed| k_pattern(8, 2, seed));
         assert_eq!(s.censored(), 4);
         assert_eq!(s.solved, 0);
@@ -1095,70 +914,13 @@ mod tests {
     fn single_thread_matches_multi_thread() {
         let n = 32u32;
         let mk = |threads: usize| {
-            run_ensemble(
+            run_ensemble_stream(
                 &EnsembleSpec::new(n, 10).with_threads(threads),
                 |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
                 |seed| k_pattern(n, 3, seed),
             )
         };
-        assert_eq!(mk(1).samples, mk(8).samples);
-    }
-
-    #[test]
-    fn runner_matches_chunked_reference_bit_for_bit() {
-        // The work-stealing path must reproduce the legacy chunked
-        // scheduler exactly — samples, energy and work counters — for any
-        // thread count.
-        let n = 64u32;
-        let mk_spec = |threads: usize| {
-            EnsembleSpec::new(n, 24)
-                .with_base_seed(42)
-                .with_threads(threads)
-        };
-        let reference = run_ensemble_chunked(
-            &mk_spec(1),
-            |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
-            |seed| k_pattern(n, 4, seed),
-        );
-        for threads in [1usize, 2, 8] {
-            let stealing = run_ensemble(
-                &mk_spec(threads),
-                |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
-                |seed| k_pattern(n, 4, seed),
-            );
-            assert_eq!(stealing.samples, reference.samples, "threads={threads}");
-            assert_eq!(stealing.energy, reference.energy, "threads={threads}");
-            assert_eq!(stealing.work, reference.work, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn stream_summary_matches_materialized_summary() {
-        let n = 64u32;
-        let spec = EnsembleSpec::new(n, 32).with_base_seed(7).with_threads(4);
-        let full = run_ensemble(
-            &spec,
-            |_| Box::new(RoundRobin::new(n)),
-            |seed| k_pattern(n, 5, seed),
-        );
-        let stream = run_ensemble_stream(
-            &spec,
-            |_| Box::new(RoundRobin::new(n)),
-            |seed| k_pattern(n, 5, seed),
-        );
-        let summary = full.summary().unwrap();
-        assert_eq!(stream.runs, 32);
-        assert_eq!(stream.solved as usize, summary.count);
-        assert!((stream.mean() - summary.mean).abs() < 1e-9);
-        assert_eq!(stream.max(), summary.max);
-        assert!((stream.ci95() - summary.ci95()).abs() < 1e-9);
-        assert_eq!(stream.worst, full.worst());
-        assert_eq!(stream.energy, full.energy);
-        assert_eq!(stream.work, full.work);
-        // P² percentiles track the exact ones on a 32-run ensemble.
-        let spread = (summary.max - summary.min).max(1.0);
-        assert!((stream.median() - summary.median).abs() <= 0.1 * spread);
-        assert!((stream.p90() - summary.p90).abs() <= 0.15 * spread);
+        assert_eq!(fingerprint(&mk(1)), fingerprint(&mk(8)));
     }
 
     #[test]
@@ -1191,18 +953,19 @@ mod tests {
             threads: 0,
             ..EnsembleSpec::new(n, 4)
         };
-        let res = run_ensemble(
-            &spec,
-            |_| Box::new(RoundRobin::new(n)),
-            |seed| k_pattern(n, 2, seed),
+        let run = |spec: &EnsembleSpec| {
+            run_ensemble_stream(
+                spec,
+                |_| Box::new(RoundRobin::new(n)),
+                |seed| k_pattern(n, 2, seed),
+            )
+        };
+        let res = run(&spec);
+        assert_eq!(res.runs, 4);
+        assert_eq!(
+            fingerprint(&res),
+            fingerprint(&run(&spec.clone().with_threads(1)))
         );
-        assert_eq!(res.samples.len(), 4);
-        let chunked = run_ensemble_chunked(
-            &spec,
-            |_| Box::new(RoundRobin::new(n)),
-            |seed| k_pattern(n, 2, seed),
-        );
-        assert_eq!(chunked.samples, res.samples);
     }
 
     #[test]
@@ -1214,18 +977,18 @@ mod tests {
         assert_eq!(spec.seed_of(2), u64::MAX);
         assert_eq!(spec.seed_of(3), 0);
         assert_eq!(spec.seed_of(5), 2);
-        let res = run_ensemble(
+        let res = run_ensemble_stream(
             &spec,
             |seed| Box::new(WakeupN::new(MatrixParams::new(n).with_seed(seed))),
             |seed| k_pattern(n, 3, seed),
         );
-        assert_eq!(res.samples.len(), 8);
+        assert_eq!(res.runs, 8);
     }
 
     #[test]
     fn cached_ensemble_matches_uncached_bit_for_bit() {
         // The construction cache may only change *where* structure is
-        // built, never what the runs observe: samples, energy and work
+        // built, never what the runs observe: latencies, energy and work
         // counters must be identical, across thread counts.
         let n = 64u32;
         let provider = FamilyProvider::random_with_seed(5);
@@ -1234,20 +997,23 @@ mod tests {
                 .with_base_seed(3)
                 .with_threads(threads)
         };
-        let plain = run_ensemble(
+        let plain = run_ensemble_stream(
             &mk_spec(1),
             |_| Box::new(WakeupWithK::new(n, 6, provider)),
             |seed| k_pattern(n, 6, seed),
         );
         for threads in [1usize, 4] {
             let cache = wakeup_core::ConstructionCache::new();
-            let cached = run_ensemble_cached(
+            let cached = run_ensemble_stream(
                 &mk_spec(threads),
-                &cache,
-                |c, _| Box::new(WakeupWithK::cached(n, 6, &provider, c)),
+                |_| Box::new(WakeupWithK::cached(n, 6, &provider, &cache)),
                 |seed| k_pattern(n, 6, seed),
             );
-            assert_eq!(plain.samples, cached.samples, "threads={threads}");
+            assert_eq!(
+                fingerprint(&plain),
+                fingerprint(&cached),
+                "threads={threads}"
+            );
             assert_eq!(plain.energy, cached.energy, "threads={threads}");
             assert_eq!(plain.work, cached.work, "threads={threads}");
             assert!(!cache.is_empty(), "cache was never populated");
@@ -1266,44 +1032,28 @@ mod tests {
     fn ensemble_trace_bytes_bit_identical_across_thread_counts() {
         use mac_sim::tracer::TraceFilter;
         let n = 64u32;
-        let mk = |threads: usize, stream: bool| {
+        let mk = |threads: usize| {
             let (trace, buf) = vec_trace(TraceFilter::all());
             let spec = EnsembleSpec::new(n, 24)
                 .with_base_seed(11)
                 .with_threads(threads)
                 .with_trace(trace);
-            if stream {
-                run_ensemble_stream(
-                    &spec,
-                    |_| Box::new(RoundRobin::new(n)),
-                    |seed| k_pattern(n, 4, seed),
-                );
-            } else {
-                run_ensemble(
-                    &spec,
-                    |_| Box::new(RoundRobin::new(n)),
-                    |seed| k_pattern(n, 4, seed),
-                );
-            }
+            run_ensemble_stream(
+                &spec,
+                |_| Box::new(RoundRobin::new(n)),
+                |seed| k_pattern(n, 4, seed),
+            );
             let bytes = buf.lock().unwrap().clone();
             bytes
         };
-        let reference = mk(1, true);
+        let reference = mk(1);
         assert!(!reference.is_empty(), "traced ensemble produced no lines");
         let text = String::from_utf8(reference.clone()).unwrap();
         assert!(text.lines().count() > 24, "expected events for every run");
         assert!(text.lines().all(|l| l.starts_with("{\"run\":")), "{text}");
         assert!(text.contains("\"run\":23,"), "last run missing from trace");
         for threads in [2usize, 4] {
-            assert_eq!(mk(threads, true), reference, "stream, threads={threads}");
-        }
-        // The materializing path serializes the identical byte stream.
-        for threads in [1usize, 4] {
-            assert_eq!(
-                mk(threads, false),
-                reference,
-                "materialized, threads={threads}"
-            );
+            assert_eq!(mk(threads), reference, "threads={threads}");
         }
     }
 
@@ -1349,7 +1099,7 @@ mod tests {
             |seed| k_pattern(n, 4, seed),
         );
         // Second ensemble on the same sidecar gets the next ordinal.
-        run_ensemble(
+        run_ensemble_stream(
             &spec,
             |_| Box::new(RoundRobin::new(n)),
             |seed| k_pattern(n, 4, seed),
@@ -1401,13 +1151,6 @@ mod tests {
     #[test]
     fn runs_zero_yields_empty_result() {
         let spec = EnsembleSpec::new(16, 0);
-        let res = run_ensemble(
-            &spec,
-            |_| Box::new(RoundRobin::new(16)),
-            |seed| k_pattern(16, 2, seed),
-        );
-        assert!(res.samples.is_empty());
-        assert!(res.summary().is_none());
         let s = run_ensemble_stream(
             &spec,
             |_| Box::new(RoundRobin::new(16)),

@@ -28,11 +28,7 @@ pub mod serial;
 pub mod stats;
 pub mod table;
 
-pub use ensemble::{
-    run_ensemble, run_ensemble_cached, run_ensemble_chunked, run_ensemble_stream,
-    run_ensemble_stream_cached, EnsembleResult, EnsembleSpec, EnsembleSummary, TraceSpec,
-    WorkStats,
-};
+pub use ensemble::{run_ensemble_stream, EnsembleSpec, EnsembleSummary, TraceSpec, WorkStats};
 pub use fit::{fit_model, fit_model_by, rank_models_by, FitResult, Metric, Model, SweepPoint};
 pub use serial::{Record, Value};
 pub use stats::Summary;
@@ -41,9 +37,7 @@ pub use table::Table;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::ensemble::{
-        run_ensemble, run_ensemble_cached, run_ensemble_chunked, run_ensemble_stream,
-        run_ensemble_stream_cached, EnsembleResult, EnsembleSpec, EnsembleSummary, TraceSpec,
-        WorkStats,
+        run_ensemble_stream, EnsembleSpec, EnsembleSummary, TraceSpec, WorkStats,
     };
     pub use crate::fit::{
         fit_model, fit_model_by, rank_models_by, FitResult, Metric, Model, SweepPoint,

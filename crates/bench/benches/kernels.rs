@@ -765,20 +765,18 @@ fn construction_cache(c: &mut Criterion) {
     let pattern_for = |seed: u64| wakeup_bench::burst_pattern(n, 8, 0, seed);
 
     // Correctness pin: cached and uncached ensembles are bit-identical.
-    let plain = run_ensemble(
+    let plain = run_ensemble_stream(
         &spec,
         |_| Box::new(WakeupWithS::new(n, 0, provider)),
         pattern_for,
     );
     let cache = ConstructionCache::new();
-    let cached = run_ensemble_cached(
+    let cached = run_ensemble_stream(
         &spec,
-        &cache,
-        |cache, _| Box::new(WakeupWithS::cached(n, 0, &provider, cache)),
+        |_| Box::new(WakeupWithS::cached(n, 0, &provider, &cache)),
         pattern_for,
     );
-    assert_eq!(plain.samples, cached.samples);
-    assert_eq!(plain.work, cached.work);
+    assert_eq!(plain.record(), cached.record());
 
     let mut group = c.benchmark_group("construction_cache");
     group.bench_function("uncached_wakeup_with_s_n4096_r64", |b| {
@@ -796,10 +794,9 @@ fn construction_cache(c: &mut Criterion) {
             // The cache lives exactly as long as the ensemble — its
             // construction and first-build cost are inside the measurement.
             let cache = ConstructionCache::new();
-            run_ensemble_stream_cached(
+            run_ensemble_stream(
                 &spec,
-                &cache,
-                |cache, _| Box::new(WakeupWithS::cached(n, 0, &provider, cache)),
+                |_| Box::new(WakeupWithS::cached(n, 0, &provider, &cache)),
                 pattern_for,
             )
             .runs
@@ -817,10 +814,9 @@ fn construction_cache(c: &mut Criterion) {
     let uncached_t = t0.elapsed();
     let t0 = Instant::now();
     let cache = ConstructionCache::new();
-    black_box(run_ensemble_stream_cached(
+    black_box(run_ensemble_stream(
         &spec,
-        &cache,
-        |cache, _| Box::new(WakeupWithS::cached(n, 0, &provider, cache)),
+        |_| Box::new(WakeupWithS::cached(n, 0, &provider, &cache)),
         pattern_for,
     ));
     let cached_t = t0.elapsed();
@@ -864,10 +860,9 @@ fn construction_cache(c: &mut Criterion) {
     });
     let ensemble_cached = fastest_us(&|| {
         let cache = ConstructionCache::new();
-        run_ensemble_stream_cached(
+        run_ensemble_stream(
             &spec,
-            &cache,
-            |cache, s| Box::new(WakeupWithK::cached(n, k, &provider(s), cache)),
+            |s| Box::new(WakeupWithK::cached(n, k, &provider(s), &cache)),
             pattern_for,
         )
         .runs

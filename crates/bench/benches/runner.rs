@@ -1,16 +1,14 @@
-//! Ensemble-scheduling benchmark: static chunk-per-thread (the legacy
-//! `run_ensemble_chunked`) vs the work-stealing runner (`run_ensemble`),
-//! on the workload class that motivated the runner — many *short sparse
-//! runs* (round-robin at n = 4096) whose cost varies strongly with the
-//! seed, so a contiguous chunk of expensive runs lands on one thread while
-//! the others idle.
+//! Ensemble-scheduling benchmark: `run_ensemble_stream` on one worker vs
+//! on every available worker, on the workload class that motivated the
+//! work-stealing runner — many *short sparse runs* (round-robin at
+//! n = 4096) whose cost varies strongly with the seed.
 //!
 //! The skew is monotone in the run index (cost ~ k⁴-shaped ramp): the last
-//! static chunk concentrates most of the total work, which stealing
-//! redistributes. On ≥ 4 cores the stealing path is expected ≥ 2× faster;
-//! on a single core both degenerate to the same sequential sweep. The
-//! benchmark also asserts the two paths produce identical samples — the
-//! determinism contract the runner is built around.
+//! runs concentrate most of the total work, so a static split by run index
+//! would leave one thread with nearly all of it; stealing redistributes
+//! it. On a single core both rows degenerate to the same sequential sweep.
+//! The benchmark also asserts both thread counts produce identical
+//! summary records — the determinism contract the runner is built around.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mac_sim::Protocol;
@@ -21,15 +19,18 @@ use wakeup_core::prelude::*;
 const N: u32 = 4096;
 const RUNS: u64 = 256;
 
-/// Contention ramp: cheap runs early, expensive runs late (k up to ~n/2),
-/// so static contiguous chunks are maximally imbalanced.
+/// Contention ramp: cheap runs early, expensive runs late (k up to ~n/2).
 fn k_of(seed: u64) -> usize {
     let x = seed as f64 / RUNS as f64;
     4 + (2040.0 * x * x * x * x) as usize
 }
 
-fn spec(threads: usize) -> EnsembleSpec {
-    EnsembleSpec::new(N, RUNS).with_threads(threads)
+fn run(threads: usize) -> EnsembleSummary {
+    run_ensemble_stream(
+        &EnsembleSpec::new(N, RUNS).with_threads(threads),
+        protocol_for,
+        pattern_for,
+    )
 }
 
 fn protocol_for(_seed: u64) -> Box<dyn Protocol> {
@@ -46,50 +47,34 @@ fn ensemble_scheduling(c: &mut Criterion) {
         .unwrap_or(1);
     let mut group = c.benchmark_group("ensemble_scheduling");
 
-    // Correctness pin before timing: both schedulers, any thread count,
-    // same samples.
-    let reference = run_ensemble_chunked(&spec(1), protocol_for, pattern_for);
-    let stealing = run_ensemble(&spec(threads), protocol_for, pattern_for);
+    // Correctness pin before timing: one worker and every worker fold the
+    // same record.
     assert_eq!(
-        reference.samples, stealing.samples,
-        "schedulers must produce identical ensembles"
+        run(1).record(),
+        run(threads).record(),
+        "thread counts must produce identical ensembles"
     );
 
-    group.bench_function(format!("chunked_t{threads}_rr_n4096"), |b| {
-        b.iter(|| {
-            black_box(run_ensemble_chunked(
-                &spec(threads),
-                protocol_for,
-                pattern_for,
-            ))
-            .samples
-            .len()
-        })
-    });
-    group.bench_function(format!("stealing_t{threads}_rr_n4096"), |b| {
-        b.iter(|| {
-            black_box(run_ensemble(&spec(threads), protocol_for, pattern_for))
-                .samples
-                .len()
-        })
+    group.bench_function("stream_t1_rr_n4096", |b| b.iter(|| black_box(run(1)).runs));
+    group.bench_function(format!("stream_t{threads}_rr_n4096"), |b| {
+        b.iter(|| black_box(run(threads)).runs)
     });
     group.finish();
 
     // A one-shot wall-clock comparison with the ratio spelled out (the
-    // criterion lines above measure each path in isolation).
+    // criterion lines above measure each thread count in isolation).
     use std::time::Instant;
     let t0 = Instant::now();
-    let a = run_ensemble_chunked(&spec(threads), protocol_for, pattern_for);
-    let chunked = t0.elapsed();
+    let a = run(1);
+    let single = t0.elapsed();
     let t0 = Instant::now();
-    let b = run_ensemble(&spec(threads), protocol_for, pattern_for);
-    let stealing_t = t0.elapsed();
-    assert_eq!(a.samples, b.samples);
+    let b = run(threads);
+    let multi = t0.elapsed();
+    assert_eq!(a.record(), b.record());
     println!(
-        "ensemble_scheduling summary: {threads} threads | chunked {chunked:?} | \
-         stealing {stealing_t:?} | speedup {:.2}x \
-         (expect ≥ 2x on ≥ 4 cores; ≈ 1x single-core)",
-        chunked.as_secs_f64() / stealing_t.as_secs_f64().max(1e-9)
+        "ensemble_scheduling summary: 1 thread {single:?} | {threads} threads {multi:?} | \
+         speedup {:.2}x",
+        single.as_secs_f64() / multi.as_secs_f64().max(1e-9)
     );
 }
 

@@ -13,7 +13,7 @@
 //! exists (`--scale` → `WAKEUP_SCALE`, `--threads` → `WAKEUP_THREADS`), so
 //! existing invocations and CI recipes keep working.
 
-use crate::experiment::{run_experiment_with, Knobs};
+use crate::experiment::run_experiment_traced;
 use crate::experiments;
 use crate::sink::OutFormat;
 use crate::Scale;
@@ -52,11 +52,6 @@ pub struct Config {
     /// Keep every N-th event per (run, kind) stream (`--trace-sample`,
     /// default 1 = keep everything).
     pub trace_sample: u64,
-    /// Family-pool size (`--family-pool`, else `WAKEUP_FAMILY_POOL`):
-    /// EXP-A/B draw their selective-family seeds from a pool of `F`
-    /// realizations per sweep cell, amortizing construction through the
-    /// ensemble-wide cache instead of building one family per run.
-    pub family_pool: Option<u64>,
 }
 
 impl Config {
@@ -73,10 +68,6 @@ impl Config {
             trace: false,
             trace_out: None,
             trace_sample: 1,
-            family_pool: std::env::var("WAKEUP_FAMILY_POOL")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&f| f >= 1),
         }
     }
 }
@@ -102,10 +93,6 @@ OPTIONS:
     --trace                also capture a structured event trace per experiment
     --trace-out DIR        trace artifact directory (default: traces)
     --trace-sample N       keep every N-th event per (run, kind) stream
-    --family-pool F        EXP-A/B: draw family seeds from a pool of F
-                           realizations per sweep cell (construction amortized
-                           through the ensemble cache; default: $WAKEUP_FAMILY_POOL
-                           or one fresh family per run)
     --time-box SECS        schedule the selection inside this wall-clock box:
                            at full scale, run budget-ascending (declared
                            per-experiment budgets) and stop before the
@@ -337,16 +324,6 @@ fn parse_run(
                 }
                 config.trace_sample = n;
             }
-            "--family-pool" => {
-                let v = value(it, "--family-pool")?;
-                let f = v.parse::<u64>().map_err(|_| {
-                    ParseError(format!("--family-pool must be a number, got '{v}'"))
-                })?;
-                if f == 0 {
-                    return Err(ParseError("--family-pool must be ≥ 1".into()));
-                }
-                config.family_pool = Some(f);
-            }
             "--time-box" => {
                 let v = value(it, "--time-box")?;
                 config.time_box =
@@ -518,15 +495,12 @@ pub fn run_many(names: &[String], config: &Config) -> std::io::Result<u64> {
         } else {
             (None, None)
         };
-        failures += run_experiment_with(
+        failures += run_experiment_traced(
             &exp,
             config.scale,
             config.seed,
             config.threads,
             trace,
-            Knobs {
-                family_pool: config.family_pool,
-            },
             sink.as_mut(),
         );
         if let Some((t, e)) = sinks {
@@ -709,21 +683,12 @@ mod tests {
 
     #[test]
     fn parse_family_pool_and_calibrate() {
-        // Default: no pool (env is not set under test).
-        let Ok(Command::Run { config, .. }) = parse(&argv("run exp_scenario_a")) else {
+        let Ok(Command::Run { .. }) = parse(&argv("run exp_scenario_a exp_scenario_b")) else {
             panic!("run did not parse");
         };
-        assert_eq!(config.family_pool, None);
-        let Ok(Command::Run { config, .. }) =
-            parse(&argv("run exp_scenario_a exp_scenario_b --family-pool 8"))
-        else {
-            panic!("run with knobs did not parse");
-        };
-        assert_eq!(config.family_pool, Some(8));
-        // The calibration flag is gone: it is an unknown option now.
+        // Both flags are gone: each is an unknown option now.
         assert!(parse(&argv("run exp_scenario_a --calibrate")).is_err());
-        assert!(parse(&argv("run exp_scenario_a --family-pool 0")).is_err());
-        assert!(parse(&argv("run exp_scenario_a --family-pool lots")).is_err());
+        assert!(parse(&argv("run exp_scenario_a exp_scenario_b --family-pool 8")).is_err());
         assert!(parse(&argv("run exp_scenario_a --family-pool")).is_err());
     }
 

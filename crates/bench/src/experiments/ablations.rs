@@ -302,10 +302,9 @@ fn run(ctx: &mut Ctx<'_>) {
     // schedule/matrix once for the whole ensemble instead of once per run.
     let cache = wakeup_core::ConstructionCache::new();
     for (name, proto) in &adv_protos {
-        let res = wakeup_analysis::run_ensemble_stream_cached(
+        let res = wakeup_analysis::run_ensemble_stream(
             &ctx.spec(n, runs, 7400, &format!("ABL-ADV {name}")),
-            &cache,
-            |cache, _| -> Box<dyn mac_sim::Protocol> {
+            |_| -> Box<dyn mac_sim::Protocol> {
                 // Note: same protocol object semantics per run; adversary
                 // probes the fixed deterministic schedule.
                 match *name {
@@ -314,9 +313,9 @@ fn run(ctx: &mut Ctx<'_>) {
                         n,
                         k as u32,
                         &FamilyProvider::default(),
-                        cache,
+                        &cache,
                     )),
-                    _ => Box::new(WakeupN::cached(MatrixParams::new(n), cache)),
+                    _ => Box::new(WakeupN::cached(MatrixParams::new(n), &cache)),
                 }
             },
             |seed| crate::burst_pattern(n, k, 0, seed),

@@ -225,10 +225,9 @@ fn run_churn_cell(
                 burst_pattern(n, K as usize, s, seed)
             },
         ),
-        "wakeup_with_s" => run_ensemble_stream_cached(
+        "wakeup_with_s" => run_ensemble_stream(
             &spec,
-            cache,
-            |cache, seed| -> Box<dyn Protocol> {
+            |seed| -> Box<dyn Protocol> {
                 let s = (seed % 97) * 13;
                 Box::new(WakeupWithS::cached(n, s, &FamilyProvider::default(), cache))
             },

@@ -168,10 +168,9 @@ fn run_mega_ensemble(
                 WakePattern::range(0, k, s).expect("valid block")
             },
         ),
-        "wakeup_with_s" => run_ensemble_stream_cached(
+        "wakeup_with_s" => run_ensemble_stream(
             spec,
-            cache,
-            |cache, seed| -> Box<dyn Protocol> {
+            |seed| -> Box<dyn Protocol> {
                 let s = (seed % 97) * 13;
                 Box::new(WakeupWithS::cached(n, s, &FamilyProvider::default(), cache))
             },

@@ -253,10 +253,9 @@ fn run_noise_ensemble(
             |_| -> Box<dyn Protocol> { Box::new(RoundRobin::new(n)) },
             |seed| random_pattern(n, K as usize, u64::from(n), seed),
         ),
-        "wakeup_with_s" => run_ensemble_stream_cached(
+        "wakeup_with_s" => run_ensemble_stream(
             spec,
-            cache,
-            |cache, seed| -> Box<dyn Protocol> {
+            |seed| -> Box<dyn Protocol> {
                 let s = (seed % 97) * 13;
                 Box::new(WakeupWithS::cached(n, s, &FamilyProvider::default(), cache))
             },

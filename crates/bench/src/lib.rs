@@ -39,7 +39,7 @@
 //! across `--threads` counts (pinned by `tests/wakeup_cli.rs`).
 //!
 //! Criterion micro-benches live in `benches/` (`kernels` — simulation
-//! hot paths; `runner` — chunked vs work-stealing ensemble scheduling).
+//! hot paths; `runner` — ensemble scheduling on one thread vs all threads).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -43,7 +43,7 @@
 //! is next asked for. A fixed-provider ensemble holds a handful of keys.
 //!
 //! Ensembles that derive a fresh provider seed per run (sampling over
-//! constructions, EXP-A/B's default) miss on every run: each miss builds
+//! constructions, as EXP-A/B do) miss on every run: each miss builds
 //! what the uncached constructor would, plus one locked insert for the
 //! schedule and one per family. For `WakeupWithK` with n = 256, k = 4,
 //! 30k fresh seeds split over two workers sharing one cache cost 0.68 µs
@@ -51,13 +51,12 @@
 //! with the former single-mutex cache), medians of 5 runs of the kernels
 //! bench `construction_cache` on a 2-core 2.0 GHz Xeon. So a per-run-seed
 //! ensemble pays about twice the uncached construction for the sharing it
-//! never uses.
+//! never uses, which is why EXP-A/B construct uncached.
 //!
 //! The protocols consume the cache through their `cached` constructors
-//! ([`WakeupWithK::cached`](crate::WakeupWithK::cached), …); the ensemble
-//! layer threads it through
-//! [`run_ensemble_cached`](../../wakeup_analysis/ensemble/fn.run_ensemble_cached.html)-style
-//! entry points.
+//! ([`WakeupWithK::cached`](crate::WakeupWithK::cached), …); an ensemble
+//! shares one cache by capturing it in the protocol factory it hands to
+//! [`run_ensemble_stream`](../../wakeup_analysis/ensemble/fn.run_ensemble_stream.html).
 
 use crate::family_provider::{DynFamily, FamilyProvider};
 use crate::select_among_first::DoublingSchedule;

@@ -370,7 +370,7 @@ fn env_discipline(rel: &str, class: &FileClass, sf: &SourceFile, out: &mut FileO
                         t.line,
                         format!(
                             "std::env::{what} outside the CLI env-wiring modules — thread \
-                             configuration through Config/Knobs instead"
+                             configuration through the CLI Config instead"
                         ),
                     );
                 }

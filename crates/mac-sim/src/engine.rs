@@ -650,7 +650,7 @@ impl HintIndex {
     /// (not counted in [`Outcome::mode_switches`]: the lock is permanent).
     fn lock<T: Tracer + ?Sized>(&mut self, slot: Slot, trace: &mut TraceCtx<'_, T>) {
         if self.sparse {
-            trace.engine_event(TraceEvent::ModeSwitch { slot, dense: true });
+            trace.emit(TraceEvent::ModeSwitch { slot, dense: true });
         }
         self.sparse = false;
         self.locked = true;
@@ -739,7 +739,7 @@ impl HintIndex {
         after: Slot,
         trace: &mut TraceCtx<'_, T>,
     ) -> u64 {
-        trace.engine_event(TraceEvent::HintRequery {
+        trace.emit(TraceEvent::HintRequery {
             slot: after,
             queries: self.requery.len() as u64,
         });
@@ -838,71 +838,19 @@ impl<'a, T: Tracer + ?Sized> TraceCtx<'a, T> {
         }
     }
 
-    #[inline]
-    fn wake(&mut self, slot: Slot, stations: u64) {
-        if stations > 0 && self.tracer.wants(TraceKind::Wake) {
-            self.flush_silence();
-            self.tracer.record(&TraceEvent::Wake { slot, stations });
-        }
-    }
-
-    #[inline]
-    fn success(&mut self, slot: Slot, winner: StationId) {
-        if self.tracer.wants(TraceKind::Success) {
-            self.flush_silence();
-            self.tracer.record(&TraceEvent::Success { slot, winner });
-        }
-    }
-
-    #[inline]
-    fn collision(&mut self, slot: Slot, contenders: u64) {
-        if self.tracer.wants(TraceKind::Collision) {
-            self.flush_silence();
-            self.tracer
-                .record(&TraceEvent::Collision { slot, contenders });
-        }
-    }
-
-    /// A success erased by the channel (deterministic tier: fault draws are
-    /// keyed by slot, so every engine path erases the same slots).
-    #[inline]
-    fn fault_erasure(&mut self, slot: Slot, winner: StationId) {
-        if self.tracer.wants(TraceKind::FaultErasure) {
-            self.flush_silence();
-            self.tracer
-                .record(&TraceEvent::FaultErasure { slot, winner });
-        }
-    }
-
-    /// A collision resolved by capture (deterministic tier).
-    #[inline]
-    fn fault_capture(&mut self, slot: Slot, winner: StationId, contenders: u64) {
-        if self.tracer.wants(TraceKind::FaultCapture) {
-            self.flush_silence();
-            self.tracer.record(&TraceEvent::FaultCapture {
-                slot,
-                winner,
-                contenders,
-            });
-        }
-    }
-
-    /// A station crashing out of the run (deterministic tier: crash slots
-    /// are materialized events on every engine path).
-    #[inline]
-    fn churn_crash(&mut self, slot: Slot, id: StationId) {
-        if self.tracer.wants(TraceKind::ChurnCrash) {
-            self.flush_silence();
-            self.tracer.record(&TraceEvent::ChurnCrash { slot, id });
-        }
-    }
-
-    /// A crashed station re-waking as a fresh instance (deterministic tier).
-    #[inline]
-    fn churn_rewake(&mut self, slot: Slot, id: StationId) {
-        if self.tracer.wants(TraceKind::ChurnRewake) {
-            self.flush_silence();
-            self.tracer.record(&TraceEvent::ChurnRewake { slot, id });
+    /// Emit one event if the tracer wants its kind. A deterministic-tier
+    /// event first flushes the pending silence run; an engine-tier event
+    /// never does (those may interleave differently per path). Forced
+    /// inline: each call site builds an event of a constant kind, so the
+    /// kind tests fold away.
+    #[inline(always)]
+    fn emit(&mut self, ev: TraceEvent) {
+        let kind = ev.kind();
+        if self.tracer.wants(kind) {
+            if kind.deterministic() {
+                self.flush_silence();
+            }
+            self.tracer.record(&ev);
         }
     }
 
@@ -914,15 +862,6 @@ impl<'a, T: Tracer + ?Sized> TraceCtx<'a, T> {
                 slots,
                 first_success,
             });
-        }
-    }
-
-    /// Emit an engine-specific event (never flushes silence: these live on
-    /// the non-deterministic tier and may interleave differently per path).
-    #[inline]
-    fn engine_event(&mut self, ev: TraceEvent) {
-        if self.tracer.wants(ev.kind()) {
-            self.tracer.record(&ev);
         }
     }
 }
@@ -946,11 +885,15 @@ fn apply_channel<T: Tracer + ?Sized>(
     match fault {
         Some(ChannelFault::Erasure { winner }) => {
             faults.erasures += 1;
-            trace.fault_erasure(slot, winner);
+            trace.emit(TraceEvent::FaultErasure { slot, winner });
         }
         Some(ChannelFault::Capture { winner, contenders }) => {
             faults.captures += 1;
-            trace.fault_capture(slot, winner, contenders.len() as u64);
+            trace.emit(TraceEvent::FaultCapture {
+                slot,
+                winner,
+                contenders: contenders.len() as u64,
+            });
         }
         None => {}
     }
@@ -1117,7 +1060,7 @@ impl<'a, T: Tracer + ?Sized> RunState<'a, T> {
         let winner = match &outcome {
             SlotOutcome::Success(w) => {
                 let w = *w;
-                self.trace.success(slot, w);
+                self.trace.emit(TraceEvent::Success { slot, winner: w });
                 if self.out.first_success.is_none() {
                     self.out.first_success = Some(slot);
                     self.out.winner = Some(w);
@@ -1129,7 +1072,7 @@ impl<'a, T: Tracer + ?Sized> RunState<'a, T> {
             }
             SlotOutcome::Collision(_) => {
                 self.out.collisions += 1;
-                self.trace.collision(slot, contenders);
+                self.trace.emit(TraceEvent::Collision { slot, contenders });
                 None
             }
             SlotOutcome::Silence => {
@@ -1189,8 +1132,8 @@ impl<'a, T: Tracer + ?Sized> RunState<'a, T> {
         policy.start_burst(awake);
         self.out.mode_switches += 1;
         self.trace
-            .engine_event(TraceEvent::ModeSwitch { slot, dense: true });
-        self.trace.engine_event(TraceEvent::BurstOpen {
+            .emit(TraceEvent::ModeSwitch { slot, dense: true });
+        self.trace.emit(TraceEvent::BurstOpen {
             slot,
             window: policy.burst_len,
         });
@@ -1204,7 +1147,7 @@ impl<'a, T: Tracer + ?Sized> RunState<'a, T> {
             if h > self.wm_heap || u > self.wm_units {
                 self.wm_heap = self.wm_heap.max(h);
                 self.wm_units = self.wm_units.max(u);
-                self.trace.engine_event(TraceEvent::Watermark {
+                self.trace.emit(TraceEvent::Watermark {
                     slot,
                     heap: self.wm_heap,
                     units: self.wm_units,
@@ -1891,7 +1834,7 @@ fn adopt_splits<S: Units, T: Tracer + ?Sized>(
     let born = units.adopt_splits();
     if born > 0 {
         hints.grow(units.len());
-        rs.trace.engine_event(TraceEvent::ClassSplit {
+        rs.trace.emit(TraceEvent::ClassSplit {
             slot: t,
             born: born as u64,
         });
@@ -2023,7 +1966,12 @@ impl Simulator {
             // Admit the arrivals due by t and arm them.
             let batch_start = units.len();
             let woken = units.admit(protocol, t, run_seed);
-            rs.trace.wake(t, woken);
+            if woken > 0 {
+                rs.trace.emit(TraceEvent::Wake {
+                    slot: t,
+                    stations: woken,
+                });
+            }
             hints.grow(units.len());
             let batch = units.len() - batch_start;
             for idx in batch_start..units.len() {
@@ -2054,7 +2002,7 @@ impl Simulator {
                 // retired out of its class): churn counts are
                 // path-independent.
                 rs.out.faults.churn_crashes += 1;
-                rs.trace.churn_crash(slot, id);
+                rs.trace.emit(TraceEvent::ChurnCrash { slot, id });
             }
             while let Some((slot, id)) = rs.churn.rewake_due(t) {
                 let first = units.len();
@@ -2068,7 +2016,7 @@ impl Simulator {
                     hints.arm(units.hint(idx, t), idx, t, &mut rs.trace);
                 }
                 rs.out.faults.churn_rewakes += 1;
-                rs.trace.churn_rewake(slot, id);
+                rs.trace.emit(TraceEvent::ChurnRewake { slot, id });
             }
             units.within_budget()?;
             rs.watermark(t, hints.heap.len(), units.len());
@@ -2265,15 +2213,15 @@ impl Simulator {
                             hints.sparse = true;
                             rs.out.mode_switches += 1;
                             policy.resume_sparse(rs.out.slots_simulated);
-                            rs.trace.engine_event(TraceEvent::BurstClose { slot: t });
-                            rs.trace.engine_event(TraceEvent::ModeSwitch {
+                            rs.trace.emit(TraceEvent::BurstClose { slot: t });
+                            rs.trace.emit(TraceEvent::ModeSwitch {
                                 slot: t,
                                 dense: false,
                             });
                         } else {
                             policy.backoff(units.len());
                             hints.heap.clear();
-                            rs.trace.engine_event(TraceEvent::BurstOpen {
+                            rs.trace.emit(TraceEvent::BurstOpen {
                                 slot: t,
                                 window: policy.burst_len,
                             });

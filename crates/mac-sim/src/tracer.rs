@@ -35,7 +35,6 @@
 //! unsampled one.
 
 use crate::ids::{Slot, StationId};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// The kind of a [`TraceEvent`] — the unit of filtering and sampling.
@@ -530,81 +529,6 @@ impl Tracer for NoopTracer {
     fn record(&mut self, _ev: &TraceEvent) {}
 }
 
-/// A bounded in-memory tracer: keeps the **last** `capacity` admitted
-/// events (a flight recorder), while per-kind totals count everything —
-/// useful to inspect the end of a long run without holding its whole trace.
-#[derive(Clone, Debug)]
-pub struct RingTracer {
-    filter: TraceFilter,
-    sample: SampleState,
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    counts: [u64; KIND_COUNT],
-}
-
-impl RingTracer {
-    /// A ring of `capacity` events admitting every kind.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_filter(capacity, TraceFilter::all())
-    }
-
-    /// A ring of `capacity` events with an explicit filter.
-    pub fn with_filter(capacity: usize, filter: TraceFilter) -> Self {
-        RingTracer {
-            filter,
-            sample: SampleState::default(),
-            capacity: capacity.max(1),
-            events: VecDeque::with_capacity(capacity.max(1)),
-            counts: [0; KIND_COUNT],
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Total admitted events of `kind` over the whole run (including those
-    /// that have since rotated out of the ring or were sampled away).
-    pub fn count(&self, kind: TraceKind) -> u64 {
-        self.counts[kind.index()]
-    }
-
-    /// Total admitted events over all kinds.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl Tracer for RingTracer {
-    #[inline]
-    fn wants(&self, kind: TraceKind) -> bool {
-        self.filter.admits(kind)
-    }
-
-    fn record(&mut self, ev: &TraceEvent) {
-        let kind = ev.kind();
-        self.counts[kind.index()] += 1;
-        if !self.sample.keep(&self.filter, kind) {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(*ev);
-    }
-}
-
 /// An unbounded collecting tracer: every admitted (and sampled-in) event in
 /// order. The building block for per-run trace capture in ensembles — each
 /// run records into its own `RecordingTracer`, and the seed-ordered reducer
@@ -928,21 +852,6 @@ mod tests {
         assert!(!eng.admits(TraceKind::Silence));
         assert!(eng.admits(TraceKind::ModeSwitch));
         assert_eq!(TraceFilter::all().sample_every(0).stride(), 1);
-    }
-
-    #[test]
-    fn ring_tracer_keeps_the_tail_and_counts_everything() {
-        let mut ring = RingTracer::new(2);
-        for ev in sample_events() {
-            if ring.wants(ev.kind()) {
-                ring.record(&ev);
-            }
-        }
-        assert_eq!(ring.total(), 6);
-        assert_eq!(ring.count(TraceKind::Silence), 1);
-        assert_eq!(ring.len(), 2);
-        let tail: Vec<TraceKind> = ring.events().map(|e| e.kind()).collect();
-        assert_eq!(tail, vec![TraceKind::Success, TraceKind::RunEnd]);
     }
 
     #[test]
