@@ -727,10 +727,11 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_sequential_reference_at_every_thread_count() {
+    fn runner_matches_chunked_reference_bit_for_bit() {
         // The work-stealing stream must fold exactly what a plain in-order
-        // loop folds, whatever the thread count, and its trace bytes must
-        // not depend on the thread count either.
+        // loop folds — runs, worst case, energy and work counters — for any
+        // thread count, and its trace bytes must not depend on the thread
+        // count either.
         use mac_sim::tracer::TraceFilter;
         let n = 64u32;
         let protocol = |seed| -> Box<dyn Protocol> {
@@ -739,25 +740,51 @@ mod tests {
         let pattern = |seed| k_pattern(n, 4, seed);
         let spec = EnsembleSpec::new(n, 24).with_base_seed(42);
         let (samples, energy, work) = sequential(&spec, protocol, pattern);
-        let solved: Vec<u64> = samples.iter().filter_map(|s| s.solved()).collect();
-        let exact = crate::stats::Summary::of_u64(&solved).unwrap();
-        let mut first_trace = None;
-        for threads in [1usize, 2, 3] {
+        let solved = samples.iter().filter(|s| s.solved().is_some()).count();
+        let worst = samples.iter().map(|s| s.pessimistic()).max().unwrap();
+        let mut first = None;
+        for threads in [1usize, 2, 8] {
             let (trace, buf) = vec_trace(TraceFilter::all());
             let spec = spec.clone().with_threads(threads).with_trace(trace);
             let s = run_ensemble_stream(&spec, protocol, pattern);
             assert_eq!(s.runs, samples.len() as u64, "threads={threads}");
-            assert_eq!(s.solved, solved.len() as u64, "threads={threads}");
-            let worst = samples.iter().map(|s| s.pessimistic()).max().unwrap();
+            assert_eq!(s.solved, solved as u64, "threads={threads}");
             assert_eq!(s.worst, worst, "threads={threads}");
             assert_eq!(s.energy, energy, "threads={threads}");
             assert_eq!(s.work, work, "threads={threads}");
-            // Welford and the two-pass sum agree up to rounding.
-            assert!((s.mean() - exact.mean).abs() < 1e-9, "threads={threads}");
-            assert_eq!(s.max(), exact.max, "threads={threads}");
             let bytes = buf.lock().unwrap().clone();
-            assert_eq!(first_trace.get_or_insert_with(|| bytes.clone()), &bytes);
+            let (lat, trace) = first.get_or_insert_with(|| (latencies(&s), bytes.clone()));
+            assert_eq!(*lat, latencies(&s), "threads={threads}");
+            assert_eq!(*trace, bytes, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn stream_summary_matches_materialized_summary() {
+        // The streaming summary against the exact two-pass Summary of the
+        // samples a sequential loop materializes.
+        let n = 64u32;
+        let protocol = |_| -> Box<dyn Protocol> { Box::new(RoundRobin::new(n)) };
+        let pattern = |seed| k_pattern(n, 5, seed);
+        let spec = EnsembleSpec::new(n, 32).with_base_seed(7).with_threads(4);
+        let (samples, energy, work) = sequential(&spec, protocol, pattern);
+        let stream = run_ensemble_stream(&spec, protocol, pattern);
+        let solved: Vec<u64> = samples.iter().filter_map(|s| s.solved()).collect();
+        let summary = crate::stats::Summary::of_u64(&solved).unwrap();
+        assert_eq!(stream.runs, 32);
+        assert_eq!(stream.solved as usize, summary.count);
+        // Welford and the two-pass sum agree up to rounding.
+        assert!((stream.mean() - summary.mean).abs() < 1e-9);
+        assert_eq!(stream.max(), summary.max);
+        assert!((stream.ci95() - summary.ci95()).abs() < 1e-9);
+        let worst = samples.iter().map(|s| s.pessimistic()).max().unwrap();
+        assert_eq!(stream.worst, worst);
+        assert_eq!(stream.energy, energy);
+        assert_eq!(stream.work, work);
+        // P² percentiles track the exact ones on a 32-run ensemble.
+        let spread = (summary.max - summary.min).max(1.0);
+        assert!((stream.median() - summary.median).abs() <= 0.1 * spread);
+        assert!((stream.p90() - summary.p90).abs() <= 0.15 * spread);
     }
 
     #[test]
