@@ -221,6 +221,13 @@ impl<'a> Ctx<'a> {
         spec
     }
 
+    /// The context's structured-trace capture, for kernels outside the
+    /// ensemble layer that trace their own runs (see
+    /// [`run_tagged`](wakeup_analysis::ensemble::run_tagged)).
+    pub fn trace(&self) -> Option<&TraceSpec> {
+        self.trace.as_ref()
+    }
+
     /// A bare [`wakeup_runner::Runner`] carrying the resolved thread count
     /// and progress routing — for experiment kernels outside the ensemble
     /// layer.

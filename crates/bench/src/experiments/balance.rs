@@ -6,8 +6,8 @@
 //! * Lemma 5.3: on such slots, a station is isolated with probability
 //!   ≥ 1/128 (we measure the empirical isolation frequency).
 //!
-//! The per-seed matrix scans are independent, so they fan out on the
-//! work-stealing runner; counters fold in seed order.
+//! The per-(k, seed) matrix scans are independent, so they all fan out in
+//! one call on the work-stealing runner; counters fold in seed order.
 
 use crate::experiment::{Ctx, Experiment};
 use crate::{Grid, Scale};
@@ -102,14 +102,17 @@ fn run(ctx: &mut Ctx<'_>) {
 
     let seeds = if scale == Scale::Full { 20u64 } else { 5 };
     let seed_offset = ctx.seed();
-    for k in [2u32, 4, 8, 16, 32] {
-        let (per_seed, _stats) = ctx.runner(&format!("EXP-BAL k={k}")).map(seeds, |seed| {
-            scan_seed(n, k, rows, window, seed_offset.wrapping_add(seed))
-        });
-
+    let ks = [2u32, 4, 8, 16, 32];
+    // Every (k, seed) scan is one job of a single fan-out; job j scans
+    // k = ks[j / seeds] at seed j % seeds.
+    let (scans, _stats) = ctx.runner("EXP-BAL").map(ks.len() as u64 * seeds, |j| {
+        let k = ks[(j / seeds) as usize];
+        scan_seed(n, k, rows, window, seed_offset.wrapping_add(j % seeds))
+    });
+    for (&k, per_seed) in ks.iter().zip(scans.chunks(seeds as usize)) {
         let mut total = SeedCounts::default();
         let mut first_isolations = Vec::new();
-        for c in &per_seed {
+        for c in per_seed {
             total.s1s2 += c.s1s2;
             total.bracket_windows += c.bracket_windows;
             total.total_windows += c.total_windows;

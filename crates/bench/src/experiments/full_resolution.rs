@@ -20,10 +20,11 @@
 use crate::experiment::{Check, Ctx, Experiment};
 use crate::Grid;
 use mac_sim::prelude::*;
-use wakeup_analysis::ensemble::WorkStats;
+use wakeup_analysis::ensemble::{run_tagged, WorkStats};
 use wakeup_analysis::prelude::*;
 use wakeup_analysis::Record;
 use wakeup_core::prelude::*;
+use wakeup_runner::collect::from_fn;
 
 /// Registry entry.
 pub const EXP: Experiment = Experiment {
@@ -173,7 +174,9 @@ struct FullEnsemble {
 }
 
 /// Runs execute on the work-stealing pool; the fold is in seed order, so
-/// the output is identical to the old sequential loop.
+/// the output is identical to the old sequential loop. When the context
+/// traces, each run's events go to its trace sink in run order, tagged
+/// with the run index like ensemble traces.
 fn run_ensemble_full(
     ctx: &Ctx<'_>,
     cache: &wakeup_core::ConstructionCache,
@@ -188,46 +191,49 @@ fn run_ensemble_full(
         .until_all_resolved();
     let sim = Simulator::new(cfg);
     let base_seed = base_seed.wrapping_add(ctx.seed());
+    let trace = ctx.trace();
     let label = format!(
         "EXP-KG {} n={n} k={k}",
         if selective { "selective" } else { "rr" }
     );
-    // The construction cache rides through `Runner::map` into every worker:
+    let mut full = FullEnsemble {
+        latencies: Vec::new(),
+        unresolved: 0,
+        work: WorkStats::default(),
+    };
+    // The construction cache rides through the runner into every worker:
     // families shared by the nested doubling sequences come out of it
     // instead of being rebuilt; per-run provider seeds keep the sampling
     // semantics, bounded by the cache cap.
-    let (results, _stats) = ctx.runner(&label).map(runs, |i| {
-        let seed = base_seed.wrapping_add(i);
-        let pattern = crate::burst_pattern(n, k as usize, 3, seed);
-        let protocol: Box<dyn Protocol> = if selective {
-            Box::new(FullResolution::cached(
-                n,
-                k,
-                &FamilyProvider::Random { seed, delta: 1e-4 },
-                cache,
-            ))
-        } else {
-            Box::new(RetiringRoundRobin::new(n))
-        };
-        let out = sim.run(protocol.as_ref(), &pattern, seed).unwrap();
-        (
-            out.full_resolution_latency(),
-            out.slots_simulated,
-            out.polls,
-            out.skipped_slots,
-        )
-    });
-    let mut work = WorkStats::default();
-    for &(_, slots, polls, skipped) in &results {
-        work.slots += slots;
-        work.polls += polls;
-        work.skipped += skipped;
-    }
-    let latencies: Vec<u64> = results.iter().filter_map(|&(l, _, _, _)| l).collect();
-    let unresolved = results.len() - latencies.len();
-    FullEnsemble {
-        latencies,
-        unresolved,
-        work,
-    }
+    ctx.runner(&label).run(
+        runs,
+        |i| {
+            let seed = base_seed.wrapping_add(i);
+            let pattern = crate::burst_pattern(n, k as usize, 3, seed);
+            let protocol: Box<dyn Protocol> = if selective {
+                Box::new(FullResolution::cached(
+                    n,
+                    k,
+                    &FamilyProvider::Random { seed, delta: 1e-4 },
+                    cache,
+                ))
+            } else {
+                Box::new(RetiringRoundRobin::new(n))
+            };
+            run_tagged(&sim, trace, i, seed, protocol.as_ref(), &pattern)
+        },
+        from_fn(|_i, (out, lines): (Outcome, Vec<u8>)| {
+            if let Some(ts) = trace {
+                ts.append(&lines);
+            }
+            match out.full_resolution_latency() {
+                Some(l) => full.latencies.push(l),
+                None => full.unresolved += 1,
+            }
+            full.work.slots += out.slots_simulated;
+            full.work.polls += out.polls;
+            full.work.skipped += out.skipped_slots;
+        }),
+    );
+    full
 }

@@ -61,66 +61,84 @@ fn run(ctx: &mut Ctx<'_>) {
     let fit = fit_model(Model::KLogNOverK, &points).expect("fit");
     ctx.note(format!("\nrandom-family length fit: {}", fit.render()));
 
-    // --- exhaustive verification (ground truth, small n) -----------------
+    // --- verification: exhaustive on small n, Monte-Carlo at scale -------
+    // The six units are independent, so they fan out on the runner. Jobs
+    // run in reverse table order, so the most expensive unit — the
+    // (16384, 64) family build — starts first and never waits behind the
+    // others; results are emitted in table order.
+    let trials = if scale == Scale::Full { 20_000 } else { 3_000 };
+    let units = [
+        Unit::Exhaustive(12, 2),
+        Unit::Exhaustive(14, 3),
+        Unit::Exhaustive(16, 4),
+        Unit::MonteCarlo(1024, 16),
+        Unit::MonteCarlo(4096, 32),
+        Unit::MonteCarlo(16384, 64),
+    ];
+    let last = units.len() - 1;
+    let (mut verdicts, _stats) = ctx
+        .runner("EXP-SEL verification")
+        .map(units.len() as u64, |j| units[last - j as usize].run(trials));
+    verdicts.reverse();
+
     ctx.note("\nexhaustive verification on small universes:");
     let mut vtab = Table::new(["n", "k", "construction", "targets checked", "verdict"]);
-    for (n, k) in [(12u32, 2u32), (14, 3), (16, 4)] {
-        let fam = FamilyProvider::default().family(n, k).materialize();
-        let res = selectors::verify::selective_exhaustive(&fam);
-        ctx.check(
-            format!("random family selective at n={n}, k={k}"),
-            Check::Holds(res.is_ok(), format!("{res:?}")),
-        );
-        vtab.push_row([
-            n.to_string(),
-            k.to_string(),
-            "random".into(),
-            res.as_ref()
-                .map(|r| r.targets_checked.to_string())
-                .unwrap_or_default(),
-            if res.is_ok() {
-                "selective ✓".into()
-            } else {
-                format!("FAILS: {res:?}")
-            },
-        ]);
-        let ksf = KautzSingleton::new(n, k).materialize();
-        let res = selectors::verify::strongly_selective_exhaustive(&ksf);
-        ctx.check(
-            format!("kautz-singleton strongly selective at n={n}, k={k}"),
-            Check::Holds(res.is_ok(), format!("{res:?}")),
-        );
-        vtab.push_row([
-            n.to_string(),
-            k.to_string(),
-            "kautz-singleton".into(),
-            res.as_ref()
-                .map(|r| r.targets_checked.to_string())
-                .unwrap_or_default(),
-            if res.is_ok() {
-                "STRONGLY selective ✓".into()
-            } else {
-                format!("FAILS: {res:?}")
-            },
-        ]);
-        let greedy = GreedyBuilder::new(n, k).build().expect("greedy");
-        vtab.push_row([
-            n.to_string(),
-            k.to_string(),
-            format!("greedy (len {})", greedy.len()),
-            "-".into(),
-            "selective by construction ✓".into(),
-        ]);
+    let mut mtab = Table::new(["n", "k", "trials", "verdict"]);
+    let mut monte_carlo = Vec::new();
+    for verdict in verdicts {
+        match verdict {
+            Verdict::Exhaustive {
+                n,
+                k,
+                random: res,
+                kautz_singleton: ks_res,
+                greedy_len,
+            } => {
+                ctx.check(
+                    format!("random family selective at n={n}, k={k}"),
+                    Check::Holds(res.is_ok(), format!("{res:?}")),
+                );
+                vtab.push_row([
+                    n.to_string(),
+                    k.to_string(),
+                    "random".into(),
+                    targets_checked(&res),
+                    if res.is_ok() {
+                        "selective ✓".into()
+                    } else {
+                        format!("FAILS: {res:?}")
+                    },
+                ]);
+                ctx.check(
+                    format!("kautz-singleton strongly selective at n={n}, k={k}"),
+                    Check::Holds(ks_res.is_ok(), format!("{ks_res:?}")),
+                );
+                vtab.push_row([
+                    n.to_string(),
+                    k.to_string(),
+                    "kautz-singleton".into(),
+                    targets_checked(&ks_res),
+                    if ks_res.is_ok() {
+                        "STRONGLY selective ✓".into()
+                    } else {
+                        format!("FAILS: {ks_res:?}")
+                    },
+                ]);
+                vtab.push_row([
+                    n.to_string(),
+                    k.to_string(),
+                    format!("greedy (len {greedy_len})"),
+                    "-".into(),
+                    "selective by construction ✓".into(),
+                ]);
+            }
+            Verdict::MonteCarlo { n, k, res } => monte_carlo.push((n, k, res)),
+        }
     }
     ctx.table("verification", &vtab);
 
-    // --- Monte-Carlo falsification at scale ------------------------------
     ctx.note("\nMonte-Carlo falsification at scale:");
-    let trials = if scale == Scale::Full { 20_000 } else { 3_000 };
-    let mut mtab = Table::new(["n", "k", "trials", "verdict"]);
-    for (n, k) in [(1024u32, 16u32), (4096, 32), (16384, 64)] {
-        let fam = RandomFamilyBuilder::new(n, k).seed(9).build_explicit();
-        let res = verify::selective_monte_carlo(&fam, trials, 13);
+    for (n, k, res) in monte_carlo {
         ctx.check(
             format!("no Monte-Carlo counterexample at n={n}, k={k}"),
             Check::Holds(res.is_ok(), format!("{res:?}")),
@@ -145,4 +163,60 @@ fn run(ctx: &mut Ctx<'_>) {
         ]);
     }
     ctx.table("monte_carlo", &mtab);
+}
+
+/// One independent unit of EXP-SEL's verification work at `(n, k)`.
+#[derive(Clone, Copy)]
+enum Unit {
+    /// Exhaustive checks of the random and Kautz–Singleton families, plus
+    /// a greedy build.
+    Exhaustive(u32, u32),
+    /// Monte-Carlo falsification of an explicit random family.
+    MonteCarlo(u32, u32),
+}
+
+/// The results of one [`Unit`].
+enum Verdict {
+    Exhaustive {
+        n: u32,
+        k: u32,
+        random: verify::VerifyResult,
+        kautz_singleton: verify::VerifyResult,
+        greedy_len: usize,
+    },
+    MonteCarlo {
+        n: u32,
+        k: u32,
+        res: verify::VerifyResult,
+    },
+}
+
+impl Unit {
+    fn run(self, trials: u64) -> Verdict {
+        match self {
+            Unit::Exhaustive(n, k) => {
+                let fam = FamilyProvider::default().family(n, k).materialize();
+                let ksf = KautzSingleton::new(n, k).materialize();
+                Verdict::Exhaustive {
+                    n,
+                    k,
+                    random: verify::selective_exhaustive(&fam),
+                    kautz_singleton: verify::strongly_selective_exhaustive(&ksf),
+                    greedy_len: GreedyBuilder::new(n, k).build().expect("greedy").len(),
+                }
+            }
+            Unit::MonteCarlo(n, k) => {
+                let fam = RandomFamilyBuilder::new(n, k).seed(9).build_explicit();
+                let res = verify::selective_monte_carlo(&fam, trials, 13);
+                Verdict::MonteCarlo { n, k, res }
+            }
+        }
+    }
+}
+
+/// The "targets checked" cell of a verification row.
+fn targets_checked(res: &verify::VerifyResult) -> String {
+    res.as_ref()
+        .map(|r| r.targets_checked.to_string())
+        .unwrap_or_default()
 }

@@ -12,10 +12,13 @@
 //!   front-to-back and steals from the back of the fullest shard when dry.
 //!   Batch size is auto-tuned by a short calibration pass so that dispatch
 //!   and channel traffic amortize even when one sparse run costs
-//!   microseconds.
+//!   microseconds. The pass is skipped when the run count alone already
+//!   forces single-run batches, so small ensembles of expensive runs go to
+//!   the workers instead of finishing inline.
 //! * **Deterministic streaming reduction** ([`collect`]): workers ship
-//!   completed batches to the caller's thread, where a reorder buffer
-//!   replays them into a [`Collector`] **strictly in run-index order**.
+//!   completed batches to the caller's thread — itself the last worker —
+//!   where a reorder buffer replays them into a [`Collector`] **strictly
+//!   in run-index order**.
 //!   Output is therefore bit-identical across thread counts and steal
 //!   interleavings — including floating-point folds. An admission window
 //!   (workers pause before executing batches more than `32·threads`
@@ -84,6 +87,11 @@ impl Default for BatchSize {
 /// Leading runs executed inline to calibrate [`BatchSize::Auto`].
 const CALIBRATION_RUNS: u64 = 4;
 
+/// Batches each worker should have queued for stealing to balance load:
+/// [`BatchSize::Auto`] never sizes batches above
+/// `remaining / (BALANCE_BATCHES · threads)`.
+const BALANCE_BATCHES: u64 = 8;
+
 /// Per-worker execution breakdown: runs executed plus the worker's
 /// scheduling counters from the sharded queue.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -105,11 +113,12 @@ pub struct WorkerStats {
 /// on workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Setup: batch-size calibration (including its inline runs) and queue
-    /// construction, before the parallel phase starts.
+    /// Setup: batch-size choice and queue construction, before the
+    /// parallel phase starts (calibration runs excluded).
     pub construction: Duration,
-    /// The execution phase: from first dispatched batch until every batch
-    /// is folded (workers joined / inline loop done).
+    /// Time spent executing runs: the inline calibration runs plus the
+    /// execution phase, from first dispatched batch until every batch is
+    /// folded (workers joined / inline loop done).
     pub simulation: Duration,
     /// Cumulative time spent replaying batch payloads into the caller's
     /// collector, on this thread (a subset of `simulation`).
@@ -121,7 +130,8 @@ pub struct PhaseTimes {
 pub struct RunStats {
     /// Total runs executed (calibration included).
     pub runs: u64,
-    /// Worker threads used for the parallel phase (1 ⇒ ran inline).
+    /// Workers used for the parallel phase, the calling thread included
+    /// (1 ⇒ ran inline).
     pub threads: usize,
     /// Batch size used for the parallel phase.
     pub batch: u64,
@@ -339,9 +349,21 @@ impl Runner {
         // Calibration / batch-size choice. Calibration runs are real runs:
         // they execute indices 0.. inline (one single-run batch each, so
         // per-run cost is observable) and fold first — order is unaffected.
+        // The balance cap below forces single-run batches whenever fewer
+        // than `2·BALANCE_BATCHES` runs per worker would remain after
+        // calibration; timing cannot change that choice, so those calls skip
+        // calibration and hand every run to the workers. The rule depends
+        // only on `(runs, threads)`.
         let mut next = 0u64;
+        let mut calibration = Duration::ZERO;
+        let workers = self.resolved_threads() as u64;
         let batch = match self.batch {
             BatchSize::Fixed(b) => b.max(1),
+            BatchSize::Auto(_)
+                if runs - CALIBRATION_RUNS.min(runs) < 2 * BALANCE_BATCHES * workers =>
+            {
+                1
+            }
             BatchSize::Auto(target) => {
                 let calib = CALIBRATION_RUNS.min(runs);
                 let t0 = Instant::now();
@@ -358,12 +380,11 @@ impl Runner {
                     }
                 }
                 stats.calibration_runs = calib;
-                let per_run = (t0.elapsed().as_nanos() / u128::from(calib.max(1))).max(1);
+                calibration = t0.elapsed();
+                let per_run = (calibration.as_nanos() / u128::from(calib.max(1))).max(1);
                 let by_time = (target.as_nanos() / per_run).clamp(1, u64::MAX as u128) as u64;
-                // Keep enough batches around for stealing to balance load:
-                // at least ~8 per worker when the workload allows it.
-                let threads = self.resolved_threads() as u64;
-                let for_balance = ((runs - next) / (threads * 8)).max(1);
+                // Keep enough batches around for stealing to balance load.
+                let for_balance = ((runs - next) / (workers * BALANCE_BATCHES)).max(1);
                 by_time.min(for_balance)
             }
         };
@@ -378,7 +399,7 @@ impl Runner {
 
         if threads == 1 {
             // Inline fast path: no workers, no channel, same fold order.
-            stats.phases.construction = started.elapsed();
+            stats.phases.construction = started.elapsed() - calibration;
             let sim_t0 = Instant::now();
             let mut i = remaining.start;
             while i < remaining.end {
@@ -398,7 +419,7 @@ impl Runner {
                 runs: runs - next,
                 ..WorkerStats::default()
             }];
-            stats.phases.simulation = sim_t0.elapsed();
+            stats.phases.simulation = calibration + sim_t0.elapsed();
             stats.phases.reduction = reduction;
             stats.elapsed = started.elapsed();
             self.report_done(&stats);
@@ -407,7 +428,7 @@ impl Runner {
 
         let queue = BatchQueue::new(remaining.clone(), batch, threads, self.placement);
         stats.batches = (remaining.end - remaining.start).div_ceil(batch);
-        stats.phases.construction = started.elapsed();
+        stats.phases.construction = started.elapsed() - calibration;
         let sim_t0 = Instant::now();
         let mut reorder_peak = 0u64;
         let done = AtomicU64::new(next);
@@ -443,16 +464,23 @@ impl Runner {
         }
 
         std::thread::scope(|scope| {
-            for (me, my_runs) in worker_runs.iter().enumerate() {
+            // Workers 0..threads−1 run on spawned threads; this thread is
+            // the last worker and the reducer, so a call spawns
+            // `threads − 1` threads and its own runs reuse this thread's
+            // allocator arena.
+            let (spawned, mine) = worker_runs.split_at(threads - 1);
+            let me = threads - 1;
+            let mut handles = Vec::with_capacity(spawned.len());
+            for (worker, my_runs) in spawned.iter().enumerate() {
                 let tx = tx.clone();
                 let queue = &queue;
                 let make_batch = &make_batch;
                 let done = &done;
                 let frontier = &frontier;
                 let poisoned = &poisoned;
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     let _flag = PanicFlag(poisoned);
-                    while let Some(range) = queue.pop(me) {
+                    while let Some(range) = queue.pop(worker) {
                         while range.start > frontier.load(Ordering::Acquire).saturating_add(window)
                         {
                             if poisoned.load(Ordering::Acquire) {
@@ -469,43 +497,87 @@ impl Runner {
                             return; // reducer gone (panic unwinding)
                         }
                     }
-                });
+                }));
             }
             drop(tx);
 
-            // The reducer can panic too (the collector is caller code, and
-            // it runs here). Parked workers watch `poisoned`, so the same
-            // guard must cover this thread's unwind — otherwise the scope
-            // would block forever joining a worker parked on a frontier
-            // that can no longer advance.
+            // The reducer can panic too (the collector and worker 0's jobs
+            // are caller code, and they run here). Parked workers watch
+            // `poisoned`, so the same guard must cover this thread's
+            // unwind — otherwise the scope would block forever joining a
+            // worker parked on a frontier that can no longer advance.
             let _reducer_flag = PanicFlag(&poisoned);
 
-            // Reduce on this thread: replay batch payloads in index order.
+            // Alternate between this thread's own batches and replaying
+            // payloads in index order. This worker obeys the admission
+            // window like every worker, but cannot sleep on it: a popped
+            // batch beyond the window is held while this thread waits for
+            // the other workers' batches. Every batch below a held one was
+            // either run here or is queued or running on another worker,
+            // so the frontier keeps advancing and the held batch runs.
             let mut pending: BTreeMap<u64, (u64, R)> = BTreeMap::new();
             let mut expected = next;
+            let mut held: Option<std::ops::Range<u64>> = None;
+            let mut own_done = false;
             while expected < runs {
-                match rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok((start, count, payload)) => {
-                        pending.insert(start, (count, payload));
-                        reorder_peak = reorder_peak.max(pending.len() as u64);
-                        let fold_t0 = Instant::now();
-                        while let Some((count, payload)) = pending.remove(&expected) {
-                            fold_batch(expected, payload);
-                            expected += count;
-                        }
-                        reduction += fold_t0.elapsed();
-                        frontier.store(expected, Ordering::Release);
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                if held.is_none() && !own_done {
+                    held = queue.pop(me);
+                    own_done = held.is_none();
                 }
+                match held.take() {
+                    Some(range) if range.start <= expected.saturating_add(window) => {
+                        let start = range.start;
+                        let count = range.end - range.start;
+                        let payload = make_batch(range);
+                        done.fetch_add(count, Ordering::Relaxed);
+                        mine[0].fetch_add(count, Ordering::Relaxed);
+                        pending.insert(start, (count, payload));
+                    }
+                    parked => {
+                        held = parked;
+                        match rx.recv_timeout(Duration::from_millis(50)) {
+                            Ok((start, count, payload)) => {
+                                pending.insert(start, (count, payload));
+                            }
+                            Err(mpsc::RecvTimeoutError::Timeout) => {}
+                            // Every other worker has exited. A held batch
+                            // becomes runnable once their batches fold,
+                            // unless one of them died.
+                            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                                if held.is_none() || poisoned.load(Ordering::Acquire) {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                }
+                while let Ok((start, count, payload)) = rx.try_recv() {
+                    pending.insert(start, (count, payload));
+                }
+                reorder_peak = reorder_peak.max(pending.len() as u64);
+                let fold_t0 = Instant::now();
+                while let Some((count, payload)) = pending.remove(&expected) {
+                    fold_batch(expected, payload);
+                    expected += count;
+                }
+                reduction += fold_t0.elapsed();
+                frontier.store(expected, Ordering::Release);
                 if let Some(m) = meter.as_mut() {
                     m.tick(done.load(Ordering::Relaxed), runs, queue.steals());
                 }
             }
+            // Join explicitly: the scope alone returns once the closures
+            // finish, while the threads may still be exiting. Waiting for
+            // them lets the next call's threads reuse their stacks and
+            // allocator arenas instead of creating new ones.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
         });
 
-        stats.phases.simulation = sim_t0.elapsed();
+        stats.phases.simulation = calibration + sim_t0.elapsed();
         stats.phases.reduction = reduction;
         stats.reorder_peak = reorder_peak;
         stats.steals = queue.steals();

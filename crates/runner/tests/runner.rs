@@ -244,6 +244,25 @@ fn auto_batching_covers_every_index_exactly_once() {
 }
 
 #[test]
+fn small_auto_calls_skip_calibration_and_use_every_worker() {
+    // Three runs on two workers: the balance cap forces single-run batches,
+    // so nothing runs inline and both workers get work.
+    let (items, stats) = Runner::new().with_threads(2).map(3, |i| i * 10);
+    assert_eq!(items, vec![0, 10, 20]);
+    assert_eq!(stats.calibration_runs, 0);
+    assert_eq!(stats.batch, 1);
+    assert_eq!(stats.threads, 2);
+    assert_eq!(stats.batches, 3);
+    assert_eq!(stats.worker_runs.iter().sum::<u64>(), 3);
+    // The rule depends on (runs, threads) alone: calibration returns once
+    // 16 runs per worker would remain after it.
+    let calib = |runs| Runner::new().with_threads(2).map(runs, |i| i).1;
+    assert_eq!(calib(35).calibration_runs, 0);
+    assert_eq!(calib(35).batch, 1);
+    assert_eq!(calib(36).calibration_runs, 4);
+}
+
+#[test]
 fn map_returns_results_in_index_order() {
     let (items, stats) = Runner::new()
         .with_threads(5)
